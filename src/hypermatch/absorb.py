@@ -65,15 +65,9 @@ def is_absorbing_set(h: Hypergraph, s: Iterable[int], w: Iterable[int]) -> bool:
         raise NotDisjoint("S and W overlap")
     if len(ss) % h.r != 0:
         raise ValueError(f"|S| = {len(ss)} is not a multiple of {h.r}")
-    if has_perfect_matching(h.induce(ss)) is None:
+    if has_perfect_matching(h, vertices=ss) is None:
         return False
-    return has_perfect_matching(h.induce(ss | ws)) is not None
-
-
-def _lift(sub_matching: Sequence[Edge], universe: Sequence[int]) -> tuple[Edge, ...]:
-    """Map a matching on an induced subgraph back to original vertex ids."""
-    back = dict(enumerate(universe))
-    return tuple(sorted(tuple(sorted(back[v] for v in e)) for e in sub_matching))
+    return has_perfect_matching(h, vertices=ss | ws) is not None
 
 
 def _search_absorber(
@@ -91,16 +85,14 @@ def _search_absorber(
         return None
     for _ in range(trials):
         s = sorted(rng.sample(pool, set_size))
-        own = has_perfect_matching(h.induce(s))
+        own = has_perfect_matching(h, vertices=s)
         if own is None:
             continue
-        joint_universe = sorted(set(s) | w)
-        joint = has_perfect_matching(h.induce(joint_universe))
+        joint = has_perfect_matching(h, vertices=w.union(s))
         if joint is None:
             continue
-        block = _lift(own, s)
-        replacement = _lift(joint, joint_universe)
-        return block, Absorber(block, replacement)
+        block = tuple(sorted(own))
+        return block, Absorber(block, tuple(sorted(joint)))
     return None
 
 
@@ -148,10 +140,9 @@ def build_absorbing_matching(
             bset = frozenset(v for e in block for v in e)
             if bset & w:
                 continue
-            joint_universe = sorted(bset | w)
-            joint = has_perfect_matching(h.induce(joint_universe))
+            joint = has_perfect_matching(h, vertices=bset | w)
             if joint is not None:
-                am.absorbers[w] = Absorber(block, _lift(joint, joint_universe))
+                am.absorbers[w] = Absorber(block, tuple(sorted(joint)))
                 hit = True
                 break
         if not hit and len(base) + set_size // 4 <= max_size:
@@ -221,12 +212,11 @@ def absorb(
             bset = frozenset(v for e in block for v in e)
             if bset & w:
                 continue
-            joint_universe = sorted(bset | w)
-            joint = has_perfect_matching(h.induce(joint_universe))
+            joint = has_perfect_matching(h, vertices=bset | w)
             if joint is not None:
                 for e in block:
                     active[e] = False
-                out.extend(_lift(joint, joint_universe))
+                out.extend(joint)
                 placed = True
                 break
         if not placed:

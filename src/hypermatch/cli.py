@@ -2,7 +2,9 @@
 
 All structured output is JSON on stdout.  Exit codes: 0 = success (perfect
 matching found, classification done, campaign clean), 1 = negative result
-(no matching, not applicable, violations found), 2 = usage or input error.
+(no matching, not applicable, violations found), 2 = usage or input error,
+3 = gave up (``solve`` used its node budget, or skipped the exact fallback
+above its size cap, without an answer).
 Campaigns fan out over seed ranges with --jobs; reductions are
 order-independent (summed counts, minimum-canonical counterexamples).
 """
@@ -108,9 +110,14 @@ def _cmd_solve(args) -> int:
         report["path"] = "exact"
         if h.n % h.r == 0 and len(result.matching) == h.n // h.r:
             found = result.matching
+        # with n not a multiple of r there is no perfect matching to miss
+        gave_up = found is None and result.timed_out and h.n % h.r == 0
     else:
         cfg = PipelineConfig(seed=args.seed)
         found, prep = solve_pipeline(h, cfg)
+        # the exact fallback is the pipeline's last word; past its size cap
+        # a missing matching is unproven
+        gave_up = any(s["name"] == "fallback-skipped" for s in prep.stages)
         report["path"] = prep.path
         report["pipeline_report"] = json.loads(prep.to_json())
     if found is not None:
@@ -118,9 +125,11 @@ def _cmd_solve(args) -> int:
         if not (check.valid and check.perfect):
             raise HypermatchError("solver returned an invalid matching")
         report["matching"] = [list(e) for e in found]
-    report["perfect_matching"] = found is not None
+    status = "gave-up" if gave_up else "none" if found is None else "found"
+    report["status"] = status
+    report["perfect_matching"] = None if gave_up else found is not None
     _emit(report, args.no_timings, args._started)
-    return 0 if found is not None else 1
+    return {"found": 0, "none": 1, "gave-up": 3}[status]
 
 
 # -- classify --------------------------------------------------------------------

@@ -1,21 +1,26 @@
 """Exact matching oracles and the small matchers the pipeline leans on.
 
-The branch-and-bound solver branches on the uncovered vertex with the
-fewest available edges (ties by lowest id) and prunes with two upper
-bounds: remaining capacity ``|M| + free // r`` and a greedy vertex-cover
-bound (any set of vertices hitting every available edge caps the number of
-further matching edges).  The cover bound is what makes "no perfect
-matching" proofs on near-extremal instances instant.
+``max_matching_exact`` and ``has_perfect_matching`` share one branch and
+bound over the per-vertex edge bitsets of :class:`Hypergraph` (as in
+Knuth's Algorithm X): the available edges are one int, a vertex's available
+degree is ``(avail & bits[v]).bit_count()``, and taking an edge clears its
+vertices' bitsets.  It branches on the uncovered vertex with the fewest
+available edges (ties by lowest id) and prunes with two upper bounds:
+remaining capacity ``|M| + free // r`` and a greedy vertex-cover bound (any
+set of vertices hitting every available edge caps the number of further
+matching edges), which makes "no perfect matching" proofs on near-extremal
+instances instant.  It returns the same matchings and node counts as the
+list-based searches it replaced (kept in ``tests/reference_search.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Edge, Hypergraph
-from .errors import EmptyInput, Indivisible
+from .errors import EmptyInput, Indivisible, InvalidVertex
 
 
 @dataclass(frozen=True)
@@ -39,46 +44,79 @@ def _edge_masks(h: Hypergraph) -> list[int]:
     return [sum(1 << v for v in e) for e in h.edges]
 
 
-def _cover_bound(edge_masks: Sequence[int], avail: list[int]) -> int:
-    """Size of a greedy vertex cover of the available edges.
+def _cover_bound(bits: Sequence[int], verts: Sequence[int], avail: int, cap: int) -> int:
+    """Size of a greedy vertex cover of the edges in ``avail``, counted up to ``cap``.
 
-    Any matching uses at most one edge per cover vertex, so this bounds the
-    number of disjoint edges still addable.
+    Each round takes the vertex on the most remaining edges (ties: lowest
+    id) and drops its edges.  Any matching uses at most one edge per cover
+    vertex, so this bounds the number of disjoint edges still addable.
     """
-    remaining = list(avail)
     bound = 0
-    while remaining:
-        counts: dict[int, int] = {}
-        for idx in remaining:
-            m = edge_masks[idx]
-            while m:
-                v = (m & -m).bit_length() - 1
-                counts[v] = counts.get(v, 0) + 1
-                m &= m - 1
-        best_v = min(counts, key=lambda v: (-counts[v], v))
+    while avail and bound < cap:
+        most = 0
+        for v in verts:
+            c = (avail & bits[v]).bit_count()
+            if c > most:
+                most, pick = c, v
+        avail &= ~bits[pick]
         bound += 1
-        bit = 1 << best_v
-        remaining = [idx for idx in remaining if not edge_masks[idx] & bit]
     return bound
 
 
-def _pick_branch_vertex(
-    h: Hypergraph, covered: int, avail: list[int], edge_masks: Sequence[int]
-) -> tuple[int, list[int]]:
-    """Uncovered vertex with fewest available incident edges (ties: lowest id)."""
-    counts = [0] * h.n
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for idx in avail:
-        for v in h.edges[idx]:
-            counts[v] += 1
-            incident[v].append(idx)
-    best = -1
-    for v in range(h.n):
-        if covered >> v & 1:
-            continue
-        if best == -1 or counts[v] < counts[best]:
-            best = v
-    return best, incident[best] if best >= 0 else []
+def _branch_and_bound(
+    h: Hypergraph, verts: list[int], avail: int, floor: int, skip: bool, node_budget
+) -> tuple[Optional[list[Edge]], int]:
+    """Depth-first search for a matching of more than ``floor`` edges.
+
+    ``verts`` are the uncovered vertices in increasing order and ``avail``
+    the bitset of edge indices inside them.  Each node branches on the
+    uncovered vertex with the fewest available edges (ties: lowest id),
+    tries its edges in index order and, when ``skip``, leaves it uncovered
+    last.  Returns the largest matching found above ``floor`` (or None) and
+    the nodes explored, which exceed ``node_budget`` iff the search gave up.
+    """
+    bits = h._vertex_bits
+    edges = h.edges
+    r = h.r
+    best: Optional[list[Edge]] = None
+    best_len = floor
+    nodes = 0
+
+    def search(verts: list[int], avail: int, matching: list[Edge]) -> None:
+        nonlocal best, best_len, nodes
+        nodes += 1
+        if nodes > node_budget:
+            return
+        if len(matching) > best_len:
+            best = list(matching)
+            best_len = len(matching)
+        if not avail:
+            return
+        # the smaller of the capacity bound free // r and the cover bound
+        ub = len(matching) + _cover_bound(bits, verts, avail, len(verts) // r)
+        if ub <= best_len:
+            return
+        degrees = [(avail & bits[v]).bit_count() for v in verts]
+        i = degrees.index(min(degrees))
+        v = verts[i]
+        own = avail & bits[v]
+        while own:
+            low = own & -own
+            own ^= low
+            e = edges[low.bit_length() - 1]
+            kill = 0
+            for u in e:
+                kill |= bits[u]
+            matching.append(e)
+            search([u for u in verts if u not in e], avail & ~kill, matching)
+            matching.pop()
+            if nodes > node_budget or best_len >= ub:
+                return
+        if skip:
+            search(verts[:i] + verts[i + 1 :], avail & ~bits[v], matching)
+
+    search(verts, avail, [])
+    return best, nodes
 
 
 def max_matching_exact(h: Hypergraph, node_budget: int = 2_000_000) -> MatchingResult:
@@ -88,74 +126,43 @@ def max_matching_exact(h: Hypergraph, node_budget: int = 2_000_000) -> MatchingR
     "leave uncovered".  Deterministic; exceeds of the node budget return the
     best matching found with ``timed_out=True``.
     """
-    edge_masks = _edge_masks(h)
-    best: list[Edge] = []
-    nodes = 0
-    timed_out = False
-
-    def search(covered: int, matching: list[Edge], avail: list[int]) -> None:
-        nonlocal best, nodes, timed_out
-        if timed_out:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            timed_out = True
-            return
-        if len(matching) > len(best):
-            best = list(matching)
-        if not avail:
-            return
-        free = h.n - covered.bit_count()
-        ub = len(matching) + min(free // h.r, _cover_bound(edge_masks, avail))
-        if ub <= len(best):
-            return
-        v, v_edges = _pick_branch_vertex(h, covered, avail, edge_masks)
-        for idx in v_edges:
-            em = edge_masks[idx]
-            nxt = [j for j in avail if not edge_masks[j] & em]
-            matching.append(h.edges[idx])
-            search(covered | em, matching, nxt)
-            matching.pop()
-            if timed_out or len(best) >= ub:
-                return
-        # leave v uncovered
-        bit = 1 << v
-        nxt = [j for j in avail if not edge_masks[j] & bit]
-        search(covered | bit, matching, nxt)
-
-    search(0, [], list(range(len(h.edges))))
-    return MatchingResult(tuple(best), not timed_out, nodes, timed_out)
+    all_edges = (1 << len(h.edges)) - 1
+    best, nodes = _branch_and_bound(h, list(range(h.n)), all_edges, 0, True, node_budget)
+    timed_out = nodes > node_budget
+    return MatchingResult(tuple(best or ()), not timed_out, nodes, timed_out)
 
 
-def has_perfect_matching(h: Hypergraph) -> Optional[tuple[Edge, ...]]:
-    """A perfect matching, or None proven by exhausted search (no budget)."""
-    if h.n % h.r != 0:
-        raise Indivisible(f"n = {h.n} is not a multiple of r = {h.r}")
-    edge_masks = _edge_masks(h)
-    need = h.n // h.r
+def has_perfect_matching(
+    h: Hypergraph, vertices: Optional[Iterable[int]] = None
+) -> Optional[tuple[Edge, ...]]:
+    """A perfect matching, or None proven by exhausted search (no budget).
 
-    def search(covered: int, matching: list[Edge], avail: list[int]) -> Optional[list[Edge]]:
-        if len(matching) == need:
-            return list(matching)
-        remaining = need - len(matching)
-        if len(avail) < remaining:
-            return None
-        if _cover_bound(edge_masks, avail) < remaining:
-            return None
-        v, v_edges = _pick_branch_vertex(h, covered, avail, edge_masks)
-        if not v_edges:
-            return None
-        for idx in v_edges:
-            em = edge_masks[idx]
-            nxt = [j for j in avail if not edge_masks[j] & em]
-            matching.append(h.edges[idx])
-            found = search(covered | em, matching, nxt)
-            if found is not None:
-                return found
-            matching.pop()
-        return None
-
-    found = search(0, [], list(range(len(h.edges))))
+    With ``vertices``, of the subgraph they induce, in H's own vertex ids and
+    in the order ``has_perfect_matching(h.induce(vertices))`` finds the
+    edges: the search starts from the edges inside the set and with the
+    vertices outside it covered, and builds no induced copy.
+    """
+    if vertices is None:
+        verts = list(range(h.n))
+    else:
+        verts = sorted(set(vertices))
+        for v in verts:
+            if not 0 <= v < h.n:
+                raise InvalidVertex(f"vertex {v} outside [0, {h.n})")
+    if len(verts) % h.r != 0:
+        raise Indivisible(f"{len(verts)} vertices is not a multiple of r = {h.r}")
+    # the edges inside S: OR_{v in S} bits[v] & ~OR_{v not in S} bits[v]
+    inside = outside = 0
+    members = set(verts)
+    for v, b in enumerate(h._vertex_bits):
+        if v in members:
+            inside |= b
+        else:
+            outside |= b
+    need = len(verts) // h.r
+    found, _ = _branch_and_bound(
+        h, verts, inside & ~outside, need - 1, False, float("inf")
+    )
     return tuple(found) if found is not None else None
 
 
@@ -257,10 +264,3 @@ def hall_matching(adjacency: Sequence[Sequence[int]], n_left: int) -> HallOutcom
         if not augment(r, seen_left, seen_right):
             return HallOutcome(None, frozenset(seen_right))
     return HallOutcome(dict(match_right), None)
-
-
-def tripartite_pm_444(mask: int):
-    """Re-export of the 4x4x4 perfect-matching scan (see link module)."""
-    from .link import tripartite_perfect_matching
-
-    return tripartite_perfect_matching(mask)

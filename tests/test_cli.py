@@ -2,10 +2,12 @@
 
 import json
 
+from hypermatch import cli
 from hypermatch.cli import main
 from hypermatch.construct import extremal_link_graph, threshold
 from hypermatch.core import load_hg
 from hypermatch.link import format_mask
+from hypermatch.pipeline import PipelineConfig
 
 
 def run(capsys, *argv):
@@ -58,8 +60,8 @@ class TestSolve:
         code, report = run_json(
             capsys, "solve", str(out), "--mode", "exact", "--no-timings"
         )
-        assert code == 1
-        assert report["max_matching"] == 1 and not report["perfect_matching"]
+        assert code == 1 and report["status"] == "none"
+        assert report["max_matching"] == 1 and report["perfect_matching"] is False
 
     def test_complete_exit_0(self, tmp_path, capsys):
         out = tmp_path / "k8.hg"
@@ -67,8 +69,19 @@ class TestSolve:
         code, report = run_json(
             capsys, "solve", str(out), "--mode", "exact", "--no-timings"
         )
-        assert code == 0 and report["perfect_matching"]
-        assert len(report["matching"]) == 2
+        assert code == 0 and report["status"] == "found"
+        assert report["perfect_matching"] and len(report["matching"]) == 2
+
+    def test_budget_exhausted_gave_up_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "k16.hg"
+        run(capsys, "gen", "complete", "--n", "16", "--out", str(out), "--no-timings")
+        code, report = run_json(
+            capsys, "solve", str(out), "--mode", "exact", "--budget", "3",
+            "--no-timings",
+        )
+        assert code == 3 and report["status"] == "gave-up"
+        assert report["perfect_matching"] is None and not report["optimal"]
+        assert "matching" not in report
 
     def test_pipeline_mode_validates(self, tmp_path, capsys):
         out = tmp_path / "p24.hg"
@@ -78,6 +91,20 @@ class TestSolve:
             capsys, "solve", str(out), "--mode", "pipeline", "--no-timings"
         )
         assert code == 0 and report["perfect_matching"]
+
+    def test_skipped_fallback_gave_up_exit_3(self, tmp_path, capsys, monkeypatch):
+        # below threshold the pipeline ends in its exact fallback; capping the
+        # fallback under n leaves the answer unproven
+        out = tmp_path / "e8.hg"
+        run(capsys, "gen", "extremal", "--n", "8", "--out", str(out), "--no-timings")
+        monkeypatch.setattr(
+            cli, "PipelineConfig", lambda seed: PipelineConfig(seed=seed, fallback_n_max=4)
+        )
+        code, report = run_json(
+            capsys, "solve", str(out), "--mode", "pipeline", "--no-timings"
+        )
+        assert code == 3 and report["status"] == "gave-up"
+        assert report["perfect_matching"] is None
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.hg"
