@@ -1,8 +1,14 @@
 """Uniform hypergraphs, degrees, exact densities, matchings, and the `.hg` format.
 
-Edges are stored as strictly increasing tuples of 0-based vertex ids.  All
-density values are exact :class:`fractions.Fraction` so that threshold
-comparisons (``>= 2 * eta`` and friends) never suffer float rounding.
+Edges are stored as strictly increasing tuples of 0-based vertex ids, in
+sorted order.  Every edge count and edge pick runs on one representation:
+the per-vertex edge bitsets, where bit ``i`` of vertex ``v``'s int is set iff
+``v`` lies in ``edges[i]``.  ``Hypergraph._exactly`` turns them into the
+bitset of edges with exactly k vertices in a set; ANDing one such bitset per
+class selects the edges of a partite shape, ``bit_count`` counts them and
+``Hypergraph._edges_of`` lists them in edge order.  All density values are exact
+:class:`fractions.Fraction` so that threshold comparisons (``>= 2 * eta``
+and friends) never suffer float rounding.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ Edge = tuple[int, ...]
 class Hypergraph:
     """An r-uniform hypergraph on vertex set [0, n).
 
-    Immutable after construction; all operations are pure.  A per-vertex
-    bitset over edge indices accelerates degree queries.
+    Immutable after construction; all operations are pure.  Every degree,
+    density and edge selection reads the per-vertex bitsets over edge
+    indices, ``_vertex_bits``.
     """
 
     __slots__ = ("n", "r", "edges", "edge_set", "_vertex_bits")
@@ -114,8 +121,7 @@ class Hypergraph:
         u = set(vertices)
         if len(u) < self.r:
             raise TooSmall(f"need at least {self.r} vertices, got {len(u)}")
-        count = sum(1 for e in self.edges if u.issuperset(e))
-        return Fraction(count, comb(len(u), self.r))
+        return Fraction(self._exactly(u, self.r).bit_count(), comb(len(u), self.r))
 
     def partite_density(self, kind: "DensityKind", parts: "PartiteSpec") -> Fraction:
         """Exact density of the cross edges prescribed by ``kind``.
@@ -128,21 +134,19 @@ class Hypergraph:
             raise InvalidPartition(
                 f"kind {kind.value} needs {len(shape)} classes, got {len(parts.classes)}"
             )
-        sets = [set(c) for c in parts.classes]
-        for c in sets:
+        for c in parts.classes:
             for v in c:
                 if not 0 <= v < self.n:
                     raise InvalidVertex(f"vertex {v} outside [0, {self.n})")
         denom = 1
-        for c, k in zip(sets, shape):
+        for c, k in zip(parts.classes, shape):
             denom *= comb(len(c), k)
         if denom == 0:
             return Fraction(0)
-        count = 0
-        for e in self.edges:
-            if all(sum(1 for v in e if v in c) == k for c, k in zip(sets, shape)):
-                count += 1
-        return Fraction(count, denom)
+        selected = -1
+        for c, k in zip(parts.classes, shape):
+            selected &= self._exactly(c, k)
+        return Fraction(selected.bit_count(), denom)
 
     def induce(self, vertices: Iterable[int]) -> "Hypergraph":
         """Restriction to a vertex subset, relabeled to [0, |U|) in order."""
@@ -150,15 +154,54 @@ class Hypergraph:
         for v in u:
             if not 0 <= v < self.n:
                 raise InvalidVertex(f"vertex {v} outside [0, {self.n})")
-        relabel = {v: i for i, v in enumerate(u)}
-        uset = set(u)
-        edges = [
-            tuple(relabel[v] for v in e) for e in self.edges if uset.issuperset(e)
-        ]
         if len(u) < self.r:
-            # Degenerate restriction: no edges can fit; keep a legal n.
-            return Hypergraph(max(len(u), self.r), self.r, [])
+            raise TooSmall(f"need at least {self.r} vertices, got {len(u)}")
+        relabel = {v: i for i, v in enumerate(u)}
+        edges = [
+            tuple(relabel[v] for v in e)
+            for e in self._edges_of(self._exactly(u, self.r))
+        ]
         return Hypergraph(len(u), self.r, edges)
+
+    # -- the edge-count kernel ----------------------------------------------
+
+    def _exactly(self, vertices: Iterable[int], k: int) -> int:
+        """Bitset of the edges with exactly ``k`` of their vertices in the set.
+
+        A saturating counter over the vertices' edge bitsets: after each
+        vertex, ``more[j]`` holds the edges with more than j of the vertices
+        seen so far.  An edge has k vertices in the set iff it has r - k
+        outside, so the counter runs over whichever side costs fewer int
+        operations.  Vertices outside [0, n) lie in no edge.
+        """
+        n, r = self.n, self.r
+        if not 0 <= k <= r:
+            return 0
+        inside = {v for v in vertices if 0 <= v < n}
+        if (k + 1) * len(inside) > (r - k + 1) * (n - len(inside)):
+            inside = [v for v in range(n) if v not in inside]
+            k = r - k
+        bits = self._vertex_bits
+        more = [0] * (k + 1)
+        for v in inside:
+            b = bits[v]
+            for j in range(k, 0, -1):
+                more[j] |= more[j - 1] & b
+            more[0] |= b
+        # more[k] is a subset of more[k - 1] (and of all edges), so XOR removes it
+        at_least = more[k - 1] if k else (1 << len(self.edges)) - 1
+        return at_least ^ more[k]
+
+    def _edges_of(self, selected: int) -> list[Edge]:
+        """The edges whose bits are set in ``selected``, in edge order."""
+        edges = self.edges
+        digits = bin(selected)[:1:-1]  # digits[i] is bit i
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(edges[i])
+            i = digits.find("1", i + 1)
+        return out
 
 
 class DensityKind(enum.Enum):

@@ -162,9 +162,7 @@ def find_complete_r_partite(
     if size < 1:
         raise ValueError("class size must be >= 1")
     domain = sorted(allowed) if allowed is not None else list(range(h.n))
-    dset = set(domain)
-    edge_set = frozenset(e for e in h.edges if dset.issuperset(e))
-    found = _complete_block_search(edge_set, [domain] * h.r, size, budget)
+    found = _complete_block_search(h.edge_set, [domain] * h.r, size, budget)
     if found is None:
         return None
     w = MultipartiteWitness(found, tuple("V" for _ in range(h.r)), "backtrack")
@@ -173,7 +171,6 @@ def find_complete_r_partite(
 
 
 def _aux_find_partite(
-    vertices: Sequence[int],
     edge_tuples: Sequence[tuple[int, ...]],
     domains: Sequence[Sequence[int]],
     size: int,
@@ -193,6 +190,57 @@ def _finish(
     return w
 
 
+# The incidence builders take sorted, pairwise disjoint vertex lists and
+# read only the edges of their shape.
+
+
+def _one_three_incidence(h: Hypergraph, a: list[int], b: list[int]) -> Incidence:
+    """A against the 3-sets of B: bit i of a triple's row is set iff the
+    triple and ``a[i]`` form an edge."""
+    a_pos = {v: i for i, v in enumerate(a)}
+    rows: dict[tuple[int, ...], int] = {}
+    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 3)):
+        x = next(v for v in e if v in a_pos)
+        rest = tuple(v for v in e if v != x)
+        rows[rest] = rows.get(rest, 0) | (1 << a_pos[x])
+    triples = sorted(combinations(b, 3))
+    return Incidence(tuple(a), tuple(triples), tuple(rows.get(t, 0) for t in triples))
+
+
+def _two_two_incidence(
+    h: Hypergraph, a: list[int], b: list[int], z: list[int]
+) -> Incidence:
+    """The pairs of A x B against the 2-sets of Z."""
+    ab_pairs = [(x, y) for x in a for y in b]
+    pair_pos = {p: i for i, p in enumerate(ab_pairs)}
+    aset, bset = set(a), set(b)
+    rows: dict[tuple[int, ...], int] = {}
+    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(z, 2)):
+        x = next(v for v in e if v in aset)
+        y = next(v for v in e if v in bset)
+        key = tuple(v for v in e if v != x and v != y)
+        rows[key] = rows.get(key, 0) | (1 << pair_pos[(x, y)])
+    zpairs = sorted(combinations(z, 2))
+    return Incidence(
+        tuple(ab_pairs), tuple(zpairs), tuple(rows.get(p, 0) for p in zpairs)
+    )
+
+
+def _volume_incidence(
+    h: Hypergraph, a: list[int], b: list[int], c: list[int], z: list[int]
+) -> Incidence:
+    """The triples of A x B x C against the vertices of Z."""
+    triples = [(x, y, w) for x in a for y in b for w in c]
+    tpos = {t: i for i, t in enumerate(triples)}
+    sets = (set(a), set(b), set(c), set(z))
+    rows = {v: 0 for v in z}
+    selected = h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(c, 1) & h._exactly(z, 1)
+    for e in h._edges_of(selected):
+        x, y, w, t = (next(v for v in e if v in s) for s in sets)
+        rows[t] |= 1 << tpos[(x, y, w)]
+    return Incidence(tuple(triples), tuple(z), tuple(rows[v] for v in z))
+
+
 def extract_one_three(
     h: Hypergraph,
     a_set: Sequence[int],
@@ -208,24 +256,14 @@ def extract_one_three(
     parts = PartiteSpec.of(a, b)
     if h.partite_density(DensityKind.SPLIT_1_3, parts) < 2 * eta:
         raise InsufficientDensity("d(A, (B choose 3)) below 2*eta")
-    a_pos = {v: i for i, v in enumerate(a)}
-    bset = set(b)
-    rows: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        in_a = [v for v in e if v in a_pos]
-        if len(in_a) == 1 and all(v in bset or v in a_pos for v in e):
-            rest = tuple(v for v in e if v not in a_pos)
-            if len(rest) == 3 and all(v in bset for v in rest):
-                rows[rest] = rows.get(rest, 0) | (1 << a_pos[in_a[0]])
-    triples = sorted(combinations(b, 3))
-    inc = Incidence(tuple(a), tuple(triples), tuple(rows.get(t, 0) for t in triples))
+    inc = _one_three_incidence(h, a, b)
     try:
         good = dense_side(inc, eta)
-        gi = [triples.index(t) for t in good]
+        gi = [inc.right.index(t) for t in good]
         sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
         shared_a, bucket = common_neighborhood_bucket(sub)
         if len(shared_a) >= size:
-            aux = _aux_find_partite(b, bucket, [b, b, b], size, budget)
+            aux = _aux_find_partite(bucket, [b, b, b], size, budget)
             if aux is not None:
                 return _finish(
                     h, (tuple(shared_a[:size]),) + aux, ("A", "B", "B", "B"), "bucket"
@@ -255,27 +293,15 @@ def extract_two_two(
     parts = PartiteSpec.of(a, b, z)
     if h.partite_density(DensityKind.SPLIT_1_1_2, parts) < 2 * eta:
         raise InsufficientDensity("d(A, B, (Z choose 2)) below 2*eta")
-    ab_pairs = [(x, y) for x in a for y in b]
-    pair_pos = {p: i for i, p in enumerate(ab_pairs)}
-    aset, bset, zset = set(a), set(b), set(z)
-    rows: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        ia = [v for v in e if v in aset]
-        ib = [v for v in e if v in bset]
-        iz = [v for v in e if v in zset]
-        if len(ia) == 1 and len(ib) == 1 and len(iz) == 2:
-            key = (iz[0], iz[1]) if iz[0] < iz[1] else (iz[1], iz[0])
-            rows[key] = rows.get(key, 0) | (1 << pair_pos[(ia[0], ib[0])])
-    zpairs = sorted(combinations(z, 2))
-    inc = Incidence(tuple(ab_pairs), tuple(zpairs), tuple(rows.get(p, 0) for p in zpairs))
+    inc = _two_two_incidence(h, a, b, z)
     try:
         good = dense_side(inc, eta)
-        gi = [zpairs.index(p) for p in good]
+        gi = [inc.right.index(p) for p in good]
         sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
         shared_ab, bucket = common_neighborhood_bucket(sub)
-        z_block = _aux_find_partite(z, bucket, [z, z], size, budget)
+        z_block = _aux_find_partite(bucket, [z, z], size, budget)
         if z_block is not None:
-            ab_block = _aux_find_partite(a + b, shared_ab, [a, b], size, budget)
+            ab_block = _aux_find_partite(shared_ab, [a, b], size, budget)
             if ab_block is not None:
                 return _finish(
                     h, ab_block + z_block, ("A", "B", "Z", "Z"), "bucket"
@@ -307,27 +333,14 @@ def extract_partite_volume(
     parts = PartiteSpec.of(z, a, b, c)
     if h.partite_density(DensityKind.SPLIT_1_1_1_1, parts) < 2 * eta:
         raise InsufficientDensity("d(Z, (A x B x C)) below 2*eta")
-    triples = [(x, y, w) for x in a for y in b for w in c]
-    tpos = {t: i for i, t in enumerate(triples)}
-    aset, bset, cset, zset = set(a), set(b), set(c), set(z)
-    rows = {v: 0 for v in z}
-    for e in h.edges:
-        ia = [v for v in e if v in aset]
-        ib = [v for v in e if v in bset]
-        ic = [v for v in e if v in cset]
-        iz = [v for v in e if v in zset]
-        if len(ia) == len(ib) == len(ic) == len(iz) == 1:
-            rows[iz[0]] |= 1 << tpos[(ia[0], ib[0], ic[0])]
-    inc = Incidence(tuple(triples), tuple(z), tuple(rows[v] for v in z))
+    inc = _volume_incidence(h, a, b, c, z)
     try:
         good = dense_side(inc, eta)
         gi = [z.index(v) for v in good]
         sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
         shared_triples, z_pool = common_neighborhood_bucket(sub)
         if len(z_pool) >= size:
-            abc = _aux_find_partite(
-                a + b + c, shared_triples, [a, b, c], size, budget
-            )
+            abc = _aux_find_partite(shared_triples, [a, b, c], size, budget)
             if abc is not None:
                 return _finish(
                     h,

@@ -312,46 +312,32 @@ def build_link_graph(
     """Mask with bit (i, j, k) set iff the leftover set is dense (>= 2*eta)
     toward the class triple (block0[i], block1[j], block2[k]).
 
-    Single pass over the edges; densities compared exactly.
+    ``h`` is 4-uniform: the counted edges have one vertex in the leftover
+    and one in each block, and each block's class of that vertex gives the
+    triple.  Densities are compared exactly.
     """
     z = set(leftover)
-    label: dict[int, tuple[int, int]] = {}
-    sizes = [[0] * 4 for _ in range(3)]
-    for b_idx, spec in enumerate(blocks):
+    seen: set[int] = set()
+    for spec in blocks:
         if len(spec.classes) != 4:
             raise InvalidPartition("each block needs exactly 4 classes")
-        for c_idx, cls in enumerate(spec.classes):
-            sizes[b_idx][c_idx] = len(cls)
-            for v in cls:
-                if v in label or v in z:
-                    raise InvalidPartition("blocks and leftover must be disjoint")
-                label[v] = (b_idx, c_idx)
-    counts = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for e in h.edges:
-        z_cnt = 0
-        cls_hits = []
-        ok = True
-        for v in e:
-            if v in z:
-                z_cnt += 1
-            elif v in label:
-                cls_hits.append(label[v])
-            else:
-                ok = False
-                break
-        if not ok or z_cnt != 1 or len(cls_hits) != 3:
-            continue
-        by_block = sorted(cls_hits)
-        if [b for b, _ in by_block] != [0, 1, 2]:
-            continue
-        i, j, k = (c for _, c in by_block)
-        counts[i][j][k] += 1
+        for cls in spec.classes:
+            if seen.intersection(cls) or z.intersection(cls):
+                raise InvalidPartition("blocks and leftover must be disjoint")
+            seen.update(cls)
+    cross = h._exactly(z, 1)
+    for spec in blocks:
+        cross &= h._exactly([v for cls in spec.classes for v in cls], 1)
+    # per block and class: the cross edges through that class
+    through = [[cross & h._exactly(cls, 1) for cls in spec.classes] for spec in blocks]
     nz = len(z)
     mask = 0
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                denom = nz * sizes[0][i] * sizes[1][j] * sizes[2][k]
-                if denom and Fraction(counts[i][j][k], denom) >= 2 * eta:
+    for i, ci in enumerate(blocks[0].classes):
+        for j, cj in enumerate(blocks[1].classes):
+            ij = through[0][i] & through[1][j]
+            for k, ck in enumerate(blocks[2].classes):
+                denom = nz * len(ci) * len(cj) * len(ck)
+                count = (ij & through[2][k]).bit_count()
+                if denom and Fraction(count, denom) >= 2 * eta:
                     mask |= 1 << bit_index(i, j, k)
     return mask

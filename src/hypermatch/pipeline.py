@@ -157,41 +157,25 @@ def detect_extremal(h: Hypergraph, alpha: Fraction) -> Optional[tuple[int, ...]]
         return None
     by_degree = sorted(range(h.n), key=lambda v: (h.degree((v,)), v))
     b = set(by_degree[:b_size])
-    ems = [sum(1 << v for v in e) for e in h.edges]
-
-    def inside_count(bset: set[int]) -> int:
-        mask = sum(1 << v for v in bset)
-        return sum(1 for em in ems if em & ~mask == 0)
-
-    cur = inside_count(b)
+    bits = h._vertex_bits
+    inside = h._exactly(b, h.r)
     for _ in range(2 * h.n):
-        if Fraction(cur, comb(b_size, h.r)) < alpha:
+        if Fraction(inside.bit_count(), comb(b_size, h.r)) < alpha:
             break
-        # inside degree of b-vertices; inflow count of outside vertices
-        bmask = sum(1 << v for v in b)
-        in_deg = [0] * h.n
-        inflow = [0] * h.n
-        for em in ems:
-            out = em & ~bmask
-            if out == 0:
-                m = em
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    in_deg[v] += 1
-                    m &= m - 1
-            elif out.bit_count() == 1:
-                inflow[(out & -out).bit_length() - 1] += 1
-        u = max(b, key=lambda v: (in_deg[v], -v))
+        # swap the B vertex of most inside edges for the outside vertex
+        # of fewest inflow edges (edges with all but that vertex in B)
+        inflow = h._exactly(b, h.r - 1)
+        u = max(b, key=lambda v: ((bits[v] & inside).bit_count(), -v))
         w = min(
             (v for v in range(h.n) if v not in b),
-            key=lambda v: (inflow[v], v),
+            key=lambda v: ((bits[v] & inflow).bit_count(), v),
         )
         cand = (b - {u}) | {w}
-        nxt = inside_count(cand)
-        if nxt >= cur:
+        nxt = h._exactly(cand, h.r)
+        if nxt.bit_count() >= inside.bit_count():
             break
-        b, cur = cand, nxt
-    if Fraction(cur, comb(b_size, h.r)) < alpha:
+        b, inside = cand, nxt
+    if Fraction(inside.bit_count(), comb(b_size, h.r)) < alpha:
         return tuple(sorted(b))
     return None
 
@@ -215,15 +199,6 @@ def build_initial_cover(
         taken = w.vertices()
         left = [v for v in left if v not in taken]
     return Cover(uni, cfg.l, tuple(blocks))
-
-
-def _class_connected_1_3(
-    h: Hypergraph, cls: Sequence[int], leftover: Sequence[int], gamma: Fraction
-) -> bool:
-    if len(leftover) < 3:
-        return False
-    parts = PartiteSpec.of(cls, leftover)
-    return h.partite_density(DensityKind.SPLIT_1_3, parts) >= 2 * gamma
 
 
 def extend_cover_two_classes(
@@ -376,11 +351,8 @@ def extend_cover_triples(
 ) -> tuple[Cover, int, list[dict]]:
     """Classify block-triple link graphs and harvest the perfect-matching
     case with four diagonal pulls; covered-terminal triples are recorded.
-
-    At uniform class size the degree-pattern cases net zero cover gain (every
-    schedule consumes exactly as many block vertices as it re-covers), so
-    their schedules are planned and committed only when the net gain is
-    positive.
+    Degree-pattern verdicts change nothing: at uniform class size their
+    pulls re-cover no more vertices than the three blocks they consume.
     """
     l = cover.class_size
     blocks = list(cover.blocks)
@@ -449,25 +421,6 @@ def extend_cover_triples(
             leftover -= pulled_v - old_v
             leftover |= old_v - pulled_v
             gain += 4 * l
-            continue
-        # Degree-pattern cases: plan one pull per disjoint pair; with
-        # uniform class size the plan never nets more vertices than the
-        # three consumed blocks, so it is not committed.
-        ps = result.witness
-        axis3 = next(x for x in range(3) if x not in ps.side)
-        used_t: set[int] = set()
-        planned = 0
-        for x, y in ps.pairs:
-            for t in range(4):
-                coords = [0, 0, 0]
-                coords[ps.side[0]], coords[ps.side[1]], coords[axis3] = x, y, t
-                bit = 16 * coords[0] + 4 * coords[1] + coords[2]
-                if t not in used_t and mask >> bit & 1:
-                    used_t.add(t)
-                    planned += 1
-                    break
-        if 4 * planned * l <= 12 * l:
-            continue
     if not consumed and not ext_triples:
         return cover, 0, ext_triples
     kept = [w for idx, w in enumerate(blocks) if idx not in consumed]
@@ -475,27 +428,6 @@ def extend_cover_triples(
 
 
 # -- extremal matcher ----------------------------------------------------------
-
-
-def _deg_into(ems: Sequence[int], v: int, s_mask: int) -> int:
-    """Edges containing v whose other vertices all lie in the mask."""
-    allowed = s_mask | (1 << v)
-    return sum(1 for em in ems if em >> v & 1 and em & ~allowed == 0)
-
-
-def _mask_of(vs) -> int:
-    return sum(1 << v for v in vs)
-
-
-def _first_edge(
-    h: Hypergraph, used: set[int], condition
-) -> Optional[Edge]:
-    for e in h.edges:
-        if any(v in used for v in e):
-            continue
-        if condition(e):
-            return e
-    return None
 
 
 def extremal_matcher(
@@ -516,36 +448,38 @@ def extremal_matcher(
     if h.n % 4 != 0:
         raise Indivisible(f"n = {h.n} is not a multiple of 4")
     n = h.n
-    ems = [sum(1 << v for v in e) for e in h.edges]
+    bits = h._vertex_bits
     b = set(b_set)
     a = set(range(n)) - b
 
-    def deg_a(v: int) -> int:  # deg into (B choose 3), v outside B
-        return _deg_into(ems, v, _mask_of(b - {v}))
-
-    def deg_b(v: int) -> int:  # deg into (B - v choose 3), v inside B
-        return _deg_into(ems, v, _mask_of(b - {v}))
+    def deg_into_b() -> list[int]:
+        """Per vertex v, the edges through v whose other vertices lie in B."""
+        inside, to_b = h._exactly(b, h.r), h._exactly(b, h.r - 1)
+        return [(bits[v] & (inside if v in b else to_b)).bit_count() for v in range(n)]
 
     while len(a) > n // 4:
-        v = min(a, key=lambda u: (_deg_into(ems, u, _mask_of(b)), u))
+        deg = deg_into_b()
+        v = min(a, key=lambda u: (deg[u], u))
         a.discard(v)
         b.add(v)
     while len(a) < n // 4:
-        v = max(b, key=lambda u: (_deg_into(ems, u, _mask_of(b - {u})), -u))
+        deg = deg_into_b()
+        v = max(b, key=lambda u: (deg[u], -u))
         b.discard(v)
         a.add(v)
 
     def exceptional_sets():
         cb3 = comb(len(b), 3)
+        deg = deg_into_b()
         xa, sxa, xb, sxb = set(), set(), set(), set()
         for v in a:
-            d = deg_a(v)
+            d = deg[v]
             if (cb3 - d) ** 2 > alpha * cb3 ** 2:
                 xa.add(v)
             if d ** 3 < alpha * cb3 ** 3:
                 sxa.add(v)
         for v in b:
-            d = deg_b(v)
+            d = deg[v]
             if d ** 2 > alpha * cb3 ** 2:
                 xb.add(v)
             if (cb3 - d) ** 3 < alpha * cb3 ** 3:
@@ -570,62 +504,46 @@ def extremal_matcher(
             return None
         matching: list[Edge] = []
         used: set[int] = set()
+        blocked = 0  # the edges meeting a used vertex
+
+        def take(candidates: int) -> bool:
+            """Add the first candidate edge disjoint from the matching."""
+            nonlocal blocked
+            free = candidates & ~blocked
+            if not free:
+                return False
+            e = h.edges[(free & -free).bit_length() - 1]
+            matching.append(e)
+            used.update(e)
+            for u in e:
+                blocked |= bits[u]
+            return True
+
         if sxb:
+            inside_b = h._exactly(b, h.r)
             for v in sorted(sxb):
-                e = _first_edge(
-                    h, used, lambda e, v=v: v in e and all(u in b for u in e)
-                )
-                if e is None:
+                if not take(bits[v] & inside_b):
                     return None
-                matching.append(e)
-                used.update(e)
-            plain_b = b - xb
+            two_two = h._exactly(b - xb, 2) & h._exactly(a, 2)
             for _ in range(len(sxb)):
-                e = _first_edge(
-                    h,
-                    used,
-                    lambda e: sum(1 for u in e if u in plain_b) == 2
-                    and sum(1 for u in e if u in a) == 2,
-                )
-                if e is None:
+                if not take(two_two):
                     return None
-                matching.append(e)
-                used.update(e)
         elif sxa:
-            pool = sxa | b
+            inside_pool = h._exactly(sxa | b, h.r)
             for v in sorted(sxa):
-                e = _first_edge(
-                    h, used, lambda e, v=v: v in e and all(u in pool for u in e)
-                )
-                if e is None:
-                    e = _first_edge(h, used, lambda e: all(u in pool for u in e))
-                if e is None:
+                if not (take(bits[v] & inside_pool) or take(inside_pool)):
                     return None
-                matching.append(e)
-                used.update(e)
             a -= sxa
             b |= sxa  # uncovered strongly exceptional vertices join B
 
+        to_b = h._exactly(b, h.r - 1)
         for v in sorted(xa & a - used):
-            e = _first_edge(
-                h, used, lambda e, v=v: v in e and all(u in b for u in e if u != v)
-            )
-            if e is None:
+            if not take(bits[v] & to_b):
                 return None
-            matching.append(e)
-            used.update(e)
+        one_three = h._exactly(a, 1) & h._exactly(b, 3)
         for v in sorted(xb & b - used):
-            e = _first_edge(
-                h,
-                used,
-                lambda e, v=v: v in e
-                and sum(1 for u in e if u in a) == 1
-                and sum(1 for u in e if u in b) == 3,
-            )
-            if e is None:
+            if not take(bits[v] & one_three):
                 return None
-            matching.append(e)
-            used.update(e)
         return matching, used, a, b
 
     cleared = clearing(set(a), set(b))
@@ -792,8 +710,6 @@ def solve_pipeline(
             return finish(list(full))
         except AbsorptionFailed:
             report.stages.append({"name": "absorb-failed", "leftover": len(leftover)})
-    elif am is not None and not leftover:
-        return finish(m_partial + list(am.base))
     elif am is None and not leftover:
         return finish(m_partial)
     return fallback()

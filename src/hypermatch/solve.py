@@ -151,17 +151,9 @@ def has_perfect_matching(
                 raise InvalidVertex(f"vertex {v} outside [0, {h.n})")
     if len(verts) % h.r != 0:
         raise Indivisible(f"{len(verts)} vertices is not a multiple of r = {h.r}")
-    # the edges inside S: OR_{v in S} bits[v] & ~OR_{v not in S} bits[v]
-    inside = outside = 0
-    members = set(verts)
-    for v, b in enumerate(h._vertex_bits):
-        if v in members:
-            inside |= b
-        else:
-            outside |= b
     need = len(verts) // h.r
     found, _ = _branch_and_bound(
-        h, verts, inside & ~outside, need - 1, False, float("inf")
+        h, verts, h._exactly(verts, h.r), need - 1, False, float("inf")
     )
     return tuple(found) if found is not None else None
 

@@ -131,6 +131,15 @@ class TestInduce:
         u = [0, 2, 3, 7, 5]
         assert h.induce(u).density(range(5)) == h.density(u)
 
+    def test_fewer_than_r_vertices_too_small(self):
+        # no r-uniform graph lives on fewer than r vertices
+        h = k4_graph(8)
+        for u in ([], [5], [0, 2, 7]):
+            with pytest.raises(TooSmall):
+                h.induce(u)
+        with pytest.raises(InvalidVertex):
+            h.induce([1, 8])
+
 
 class TestMatching:
     def test_perfect(self):

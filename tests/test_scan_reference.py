@@ -1,0 +1,183 @@
+"""The bitset kernel against the edge scans it replaced.
+
+``reference_scan`` holds the previous scans verbatim.  The kernel-backed
+functions must give the same densities, the same induced graphs, the same
+incidences and link graphs, the same extremal set and the same matchings,
+on seeded hypergraphs with n from 8 to 32 and seeded disjoint classes.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+import reference_scan as ref
+from hypermatch import extract
+from hypermatch.core import DensityKind, Hypergraph, PartiteSpec
+from hypermatch.link import build_link_graph
+from hypermatch.pipeline import detect_extremal, extremal_matcher
+
+SIZES = (8, 11, 16, 20, 25, 32)
+
+
+def random_graph(seed, n: int, r: int = 4, p=None) -> Hypergraph:
+    rng = random.Random(f"scan/{seed}/{n}/{r}")
+    if p is None:
+        p = rng.uniform(0.05, 0.9) if n <= 16 else rng.uniform(0.01, 0.15)
+    return Hypergraph(n, r, [e for e in combinations(range(n), r) if rng.random() < p])
+
+
+def disjoint_classes(rng: random.Random, n: int, count: int, most: int) -> list:
+    """``count`` pairwise disjoint nonempty sorted classes of at most ``most``."""
+    order = rng.sample(range(n), n)
+    out = []
+    for _ in range(count):
+        size = rng.randint(1, max(1, min(most, len(order) - (count - len(out) - 1))))
+        out.append(sorted(order[:size]))
+        order = order[size:]
+    return out
+
+
+def graphs():
+    for seed in range(3):
+        for n in SIZES:
+            yield seed, random_graph(seed, n)
+
+
+def near_extremal(n: int, seed) -> Hypergraph:
+    """The extremal construction (every 4-set meeting A, the first n/4 - 1
+    vertices) with seeded changes that turn vertices on either side
+    exceptional: each A vertex loses its edges at its own rate, 4-sets
+    inside B are added at one rate, and a few B vertices get every
+    inside-B 4-set through them."""
+    rng = random.Random(f"scan/near/{n}/{seed}")
+    a_size = n // 4 - 1
+    drop = [rng.choice((0, 0, 0.05, 0.6, 0.95)) for _ in range(a_size)]
+    fill = rng.choice((0, 0.02, 0.3, 0.7))
+    heavy = set(rng.sample(range(a_size, n), rng.choice((0, 0, 1, 3))))
+
+    def keep(e) -> bool:
+        if e[0] < a_size:
+            return rng.random() >= drop[e[0]]
+        return bool(heavy.intersection(e)) or rng.random() < fill
+
+    return Hypergraph(n, 4, [e for e in combinations(range(n), 4) if keep(e)])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("r", (3, 4))
+    def test_exactly_selects_the_edges_of_each_count(self, r):
+        for seed in range(4):
+            for n in (r, 9, 14):
+                h = random_graph(seed, n, r)
+                rng = random.Random(f"kernel/{seed}/{n}/{r}")
+                for size in range(n + 1):
+                    s = set(rng.sample(range(n), size))
+                    for k in range(-1, r + 2):
+                        expect = [e for e in h.edges if sum(v in s for v in e) == k]
+                        assert h._edges_of(h._exactly(s, k)) == expect
+
+    def test_vertices_outside_the_graph_lie_in_no_edge(self):
+        h = random_graph(0, 11)
+        for k in range(5):
+            assert h._exactly([-1, 0, 3, 11, 40], k) == h._exactly([0, 3], k)
+
+
+class TestCore:
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_partite_density(self, kind):
+        width = len(kind.shape(4))
+        for seed, h in graphs():
+            rng = random.Random(f"pd/{seed}/{h.n}/{kind.value}")
+            for _ in range(12):
+                parts = PartiteSpec.of(*disjoint_classes(rng, h.n, width, h.n // 2))
+                got = h.partite_density(kind, parts)
+                assert got == ref.partite_density(h, kind, parts)
+
+    def test_density_and_induce(self):
+        for seed, h in graphs():
+            rng = random.Random(f"ind/{seed}/{h.n}")
+            for size in (4, 5, h.n // 2, h.n - 1, h.n):
+                u = rng.sample(range(h.n), size)
+                assert h.density(u) == ref.density(h, u)
+                assert h.induce(u) == ref.induce(h, u)
+
+
+class TestExtractIncidences:
+    def test_one_three(self):
+        for seed, h in graphs():
+            rng = random.Random(f"13/{seed}/{h.n}")
+            for _ in range(6):
+                a, b = disjoint_classes(rng, h.n, 2, h.n // 2)
+                got = extract._one_three_incidence(h, a, b)
+                assert got == ref.one_three_incidence(h, a, b)
+
+    def test_two_two(self):
+        for seed, h in graphs():
+            rng = random.Random(f"22/{seed}/{h.n}")
+            for _ in range(6):
+                a, b, z = disjoint_classes(rng, h.n, 3, 6)
+                got = extract._two_two_incidence(h, a, b, z)
+                assert got == ref.two_two_incidence(h, a, b, z)
+
+    def test_volume(self):
+        for seed, h in graphs():
+            rng = random.Random(f"vol/{seed}/{h.n}")
+            for _ in range(6):
+                a, b, c, z = disjoint_classes(rng, h.n, 4, 4)
+                got = extract._volume_incidence(h, a, b, c, z)
+                assert got == ref.volume_incidence(h, a, b, c, z)
+
+
+class TestLinkGraph:
+    def test_build_link_graph(self):
+        nonzero = 0
+        for seed in range(40):
+            rng = random.Random(f"link/{seed}")
+            l = rng.choice((1, 1, 2))
+            n = 12 * l + rng.randint(1, 6)
+            h = random_graph(seed, n, p=rng.uniform(0.2, 0.8))
+            order = rng.sample(range(n), n)
+            blocks = tuple(
+                PartiteSpec.of(*(order[4 * l * x + l * c :][:l] for c in range(4)))
+                for x in range(3)
+            )
+            leftover = order[12 * l :][: rng.randint(1, 6)]
+            eta = rng.choice((Fraction(1, 16), Fraction(1, 8), Fraction(1, 4)))
+            mask = build_link_graph(h, blocks, leftover, eta)
+            assert mask == ref.build_link_graph(h, blocks, leftover, eta)
+            nonzero += mask != 0
+        assert nonzero >= 10
+
+
+class TestExtremal:
+    def test_detect_extremal(self):
+        instances = [h for _, h in graphs()] + [
+            near_extremal(n, seed) for n in (12, 16, 20, 24) for seed in range(3)
+        ]
+        found = 0
+        for h in instances:
+            for alpha in (Fraction(1, 10), Fraction(1, 4)):
+                b = detect_extremal(h, alpha)
+                assert b == ref.detect_extremal(h, alpha)
+                found += b is not None
+        assert found >= 10
+
+    def test_extremal_matcher(self):
+        outcomes = set()
+        for n in (12, 16, 20, 24):
+            for seed in range(6 if n < 24 else 2):
+                h = near_extremal(n, seed)
+                rng = random.Random(f"em/{n}/{seed}")
+                b = list(range(n // 4, n))
+                # B of size 3n/4, and B too small or too large, so that both
+                # rebalancing loops run
+                for b_set in (b, b[2:], b + [0, 1]):
+                    for alpha in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 10**12)):
+                        pipeline_seed = rng.randrange(1000)
+                        args = (h, b_set, alpha, pipeline_seed)
+                        got = extremal_matcher(*args)
+                        assert got == ref.extremal_matcher(*args)
+                        outcomes.add(got is not None)
+        assert outcomes == {True, False}
