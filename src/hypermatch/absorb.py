@@ -3,14 +3,15 @@
 An absorbing set for a 4-set ``W`` is a 12-vertex set ``S`` (16 allowed by
 config) that has a perfect matching both on its own and together with ``W``:
 removing S's three base edges and re-matching ``S ∪ W`` swallows W into the
-matching.  The builder samples candidate W's, searches for disjoint absorbing
-sets, and registers the replacement matchings for later use.
+matching.  The builder samples candidate W's and keeps, as a block of the
+base matching, the perfect matching of each disjoint absorbing set it finds;
+``absorb`` re-matches unused blocks together with the leftover 4-sets.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import Edge, Hypergraph, validate_matching
@@ -22,35 +23,32 @@ def _rng(seed, stream: str) -> random.Random:
     return random.Random(f"{seed}/{stream}")
 
 
-@dataclass(frozen=True)
-class Absorber:
-    """One registered absorber: which base edges to drop for a given W and
-    the replacement matching on their vertices plus W."""
-
-    block: tuple[Edge, ...]
-    replacement: tuple[Edge, ...]
-
-
 @dataclass
 class AbsorbingMatching:
-    """A base matching plus a registry of absorbers keyed by 4-set."""
+    """A base matching grouped into certified absorbing blocks.
 
-    base: tuple[Edge, ...]
-    absorbers: dict[frozenset[int], Absorber] = field(default_factory=dict)
+    Each block is the perfect matching found on one absorbing set S; S also
+    has a perfect matching together with the sampled 4-set it was found for.
+    """
+
+    blocks: tuple[tuple[Edge, ...], ...] = ()
     attempts: int = 0
     successes: int = 0
+
+    @property
+    def base(self) -> tuple[Edge, ...]:
+        return tuple(sorted(e for block in self.blocks for e in block))
 
     @property
     def success_rate(self) -> float:
         return self.successes / self.attempts if self.attempts else 0.0
 
     def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.base for v in e)
+        return frozenset(v for block in self.blocks for e in block for v in e)
 
     def stats(self) -> dict:
         return {
             "base_edges": len(self.base),
-            "registered": len(self.absorbers),
             "attempts": self.attempts,
             "successes": self.successes,
             "success_rate": self.success_rate,
@@ -77,9 +75,9 @@ def _search_absorber(
     set_size: int,
     trials: int,
     rng: random.Random,
-) -> Optional[tuple[tuple[Edge, ...], Absorber]]:
-    """Random search for an absorbing set disjoint from W and forbidden
-    vertices; returns (S's own matching, absorber) on success."""
+) -> Optional[tuple[Edge, ...]]:
+    """Random search for an absorbing set for W disjoint from W and forbidden
+    vertices; returns S's own perfect matching, sorted, on success."""
     pool = [v for v in range(h.n) if v not in w and v not in forbidden]
     if len(pool) < set_size:
         return None
@@ -88,11 +86,21 @@ def _search_absorber(
         own = has_perfect_matching(h, vertices=s)
         if own is None:
             continue
-        joint = has_perfect_matching(h, vertices=w.union(s))
-        if joint is None:
+        if has_perfect_matching(h, vertices=w.union(s)) is None:
             continue
-        block = tuple(sorted(own))
-        return block, Absorber(block, tuple(sorted(joint)))
+        return tuple(sorted(own))
+    return None
+
+
+def _absorb_one(
+    h: Hypergraph, blocks: Sequence[tuple[Edge, ...]], w: frozenset[int]
+) -> Optional[tuple[int, tuple[Edge, ...]]]:
+    """(index, matching) of the first block whose vertices plus W have a
+    perfect matching; W must be disjoint from every block."""
+    for i, block in enumerate(blocks):
+        joint = has_perfect_matching(h, vertices=w.union(v for e in block for v in e))
+        if joint is not None:
+            return i, joint
     return None
 
 
@@ -104,12 +112,12 @@ def build_absorbing_matching(
     set_size: int = 12,
     samples: int = 64,
 ) -> AbsorbingMatching:
-    """Grow a small base matching whose edges absorb randomly sampled 4-sets.
+    """Grow a small base matching whose blocks absorb randomly sampled 4-sets.
 
-    For each of ``samples`` random W's, first try to absorb with an existing
-    block of base edges, else search fresh absorbing sets disjoint from the
-    base and add their 3 edges if within ``max_size``.  Deterministic in
-    (H, seed, params).
+    Each of ``samples`` random W's is drawn outside the base.  If no block
+    absorbs it, a fresh absorbing set for W is searched outside the base and
+    its matching becomes a new block while the base stays within
+    ``max_size`` edges.  Deterministic in (H, seed, params).
 
     Parameters
     ----------
@@ -125,39 +133,23 @@ def build_absorbing_matching(
     if h.n < 16:
         raise ValueError(f"need n >= 16, got {h.n}")
     rng = _rng(seed, "absorb")
-    am = AbsorbingMatching(base=())
-    base: list[Edge] = []
-    blocks: list[tuple[Edge, ...]] = []  # base edges grouped by absorbing set
+    am = AbsorbingMatching()
     for _ in range(samples):
-        covered = set(v for e in base for v in e)
+        covered = am.vertices()
         pool = [v for v in range(h.n) if v not in covered]
         if len(pool) < 4:
             break
         w = frozenset(rng.sample(pool, 4))
         am.attempts += 1
-        hit = False
-        for block in blocks:
-            bset = frozenset(v for e in block for v in e)
-            if bset & w:
-                continue
-            joint = has_perfect_matching(h, vertices=bset | w)
-            if joint is not None:
-                am.absorbers[w] = Absorber(block, tuple(sorted(joint)))
-                hit = True
-                break
-        if not hit and len(base) + set_size // 4 <= max_size:
-            found = _search_absorber(
-                h, w, frozenset(covered), set_size, trials, rng
-            )
-            if found is not None:
-                block, absorber = found
-                base.extend(block)
-                blocks.append(block)
-                am.absorbers[w] = absorber
-                hit = True
-        if hit:
+        if _absorb_one(h, am.blocks, w) is not None:
             am.successes += 1
-    am.base = tuple(sorted(base))
+            continue
+        if (len(am.blocks) + 1) * (set_size // 4) > max_size:
+            continue
+        block = _search_absorber(h, w, covered, set_size, trials, rng)
+        if block is not None:
+            am.blocks += (block,)
+            am.successes += 1
     return am
 
 
@@ -166,14 +158,12 @@ def absorb(
     am: AbsorbingMatching,
     m_partial: Sequence[Edge],
     leftover: Iterable[int],
-    trials: int = 256,
-    seed=0,
 ) -> tuple[Edge, ...]:
     """Matching covering exactly V(base) ∪ V(M_partial) ∪ leftover.
 
     The leftover is split lexicographically into 4-sets; each is absorbed by
-    a registered absorber with a still-unused block, or by a fresh bounded
-    search among base blocks and free vertices.
+    the first still-unused block whose vertices plus the 4-set have a
+    perfect matching, which replaces that block's edges.
 
     Raises
     ------
@@ -189,39 +179,17 @@ def absorb(
         raise NotDisjoint("base, partial matching, and leftover must be disjoint")
     if len(w_all) % 4 != 0:
         raise ValueError(f"leftover size {len(w_all)} is not a multiple of 4")
-    active = {e: True for e in am.base}
+    unused = list(am.blocks)
     out: list[Edge] = list(m_partial)
     for i in range(0, len(w_all), 4):
         w = frozenset(w_all[i : i + 4])
-        reg = am.absorbers.get(w)
-        if reg is not None and all(active.get(e, False) for e in reg.block):
-            for e in reg.block:
-                active[e] = False
-            out.extend(reg.replacement)
-            continue
-        # Registry miss (or block already spent): bounded fresh search using
-        # the remaining active base blocks, then arbitrary active edges.
-        placed = False
-        blocks: list[tuple[Edge, ...]] = []
-        live = [e for e, ok in active.items() if ok]
-        for j in range(0, len(live) - 2):
-            blocks.append(tuple(live[j : j + 3]))
-        for block in blocks[: max(trials, 1)]:
-            if len(block) < 3:
-                continue
-            bset = frozenset(v for e in block for v in e)
-            if bset & w:
-                continue
-            joint = has_perfect_matching(h, vertices=bset | w)
-            if joint is not None:
-                for e in block:
-                    active[e] = False
-                out.extend(joint)
-                placed = True
-                break
-        if not placed:
+        placed = _absorb_one(h, unused, w)
+        if placed is None:
             raise AbsorptionFailed(f"no absorber for leftover 4-set {sorted(w)}")
-    out.extend(e for e, ok in active.items() if ok)
+        j, joint = placed
+        del unused[j]
+        out.extend(joint)
+    out.extend(e for block in unused for e in block)
     result = tuple(sorted(out))
     check = validate_matching(h, result)
     if not check.valid:

@@ -25,7 +25,7 @@ from typing import Optional
 from . import construct, link
 from .construct import InstanceRecipe
 from .core import Hypergraph, format_hg, load_hg, validate_matching
-from .errors import HypermatchError, LemmaViolation
+from .errors import AbsorptionFailed, HypermatchError, LemmaViolation
 from .link import Verdict, classify, format_mask, parse_mask, verify_witness
 from .pipeline import PipelineConfig, solve_pipeline
 from .solve import has_perfect_matching, max_matching_bruteforce, max_matching_exact
@@ -37,7 +37,7 @@ def _default_seed() -> str:
 
 def _emit(report: dict, no_timings: bool, started: float) -> None:
     if not no_timings:
-        report["elapsed_seconds"] = round(time.time() - started, 3)
+        report["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     json.dump(report, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
 
@@ -280,8 +280,17 @@ def _campaign_lemma37(args) -> dict:
     return _run_jobs(jobs, _lemma37_chunk, args.jobs)
 
 
+def _one_n(args, default: int) -> int:
+    """The size of a one-size campaign; a list of sizes is a usage error."""
+    if args.n is None:
+        return default
+    if "," in args.n:
+        raise ValueError(f"verify {args.campaign} takes one --n, got {args.n!r}")
+    return int(args.n)
+
+
 def _campaign_tightness(args) -> dict:
-    ns = [int(x) for x in args.n.split(",")]
+    ns = [int(x) for x in (args.n or "8,12,16,20").split(",")]
     violations = []
     for n in ns:
         h = construct.extremal_construction(n)
@@ -303,18 +312,26 @@ def _campaign_solver(args) -> dict:
 def _campaign_absorb(args) -> dict:
     from .absorb import absorb, build_absorbing_matching
 
-    target = int(Fraction(6, 10) * comb(args.n - 1, 3))
-    h = construct.random_dense_hypergraph(args.n, target, args.seed)
+    n = _one_n(args, 40)
+    target = int(Fraction(6, 10) * comb(n - 1, 3))
+    h = construct.random_dense_hypergraph(n, target, args.seed)
     am = build_absorbing_matching(
         h, max_size=15, trials=64, seed=args.seed, samples=args.samples
     )
     violations = []
     checked = 0
-    for w in sorted(am.absorbers, key=sorted)[:20]:
-        out = absorb(h, am, [], sorted(w), seed=args.seed)
+    # fresh seeded 4-sets outside the base, not the ones the build sampled
+    rng = random.Random(f"{args.seed}/absorb-check")
+    free = sorted(set(range(n)) - am.vertices())
+    for _ in range(20):
+        w = sorted(rng.sample(free, 4))
+        try:
+            out = absorb(h, am, [], w)
+        except AbsorptionFailed:
+            out = ()
         covered = {v for e in out for v in e}
         if covered != set(am.vertices()) | set(w):
-            violations.append({"w": sorted(w)})
+            violations.append({"w": w})
         checked += 1
     rate = am.success_rate
     counts = {"attempts": am.attempts, "successes": am.successes,
@@ -327,7 +344,8 @@ def _campaign_absorb(args) -> dict:
 def _campaign_pipeline(args) -> dict:
     chunks = max(args.jobs, 1) * 4
     per = -(-args.instances // chunks)
-    jobs = [(args.seed, i * per, per, args.n) for i in range(chunks)]
+    n = _one_n(args, 32)
+    jobs = [(args.seed, i * per, per, n) for i in range(chunks)]
     summary = _run_jobs(jobs, _pipeline_chunk, args.jobs)
     # below-threshold instances must come back empty, confirmed by the oracle
     below = []
@@ -422,7 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--adversarial", type=int, default=1_000)
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--instances", type=int, default=10)
-    v.add_argument("--n", default="8,12,16,20")
+    v.add_argument("--n", default=None,
+                   help="sizes: a comma list for tightness (default 8,12,16,20), "
+                        "one size for absorb (default 40) and pipeline (default 32)")
     v.add_argument("--n-max", type=int, dest="n_max", default=12)
     v.add_argument("--jobs", type=int, default=1)
     v.set_defaults(func=_cmd_verify)
@@ -436,11 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args._started = time.time()
-    if args.verb == "verify" and args.campaign == "pipeline":
-        args.n = int(args.n) if "," not in str(args.n) else 32
-    elif args.verb == "verify" and args.campaign == "absorb":
-        args.n = int(args.n) if "," not in str(args.n) else 40
+    args._started = time.perf_counter()
     try:
         return args.func(args)
     except (HypermatchError, ValueError, OSError) as exc:

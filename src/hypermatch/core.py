@@ -268,6 +268,10 @@ def validate_matching(h: Hypergraph, matching: Sequence[Iterable[int]]) -> Match
 # line 1: "r n m"; then m lines of r strictly increasing vertex ids;
 # '#' starts a comment line; trailing newline required.
 
+# Largest header n that parse_hg accepts: the vertex count, not the file
+# length, sizes the per-vertex bitset list.
+MAX_HG_VERTICES = 1 << 16
+
 
 def format_hg(h: Hypergraph) -> str:
     lines = [f"{h.r} {h.n} {len(h.edges)}"]
@@ -285,6 +289,8 @@ def parse_hg(text: str) -> Hypergraph:
     if len(head) != 3:
         raise ValueError(f"bad header {rows[0]!r}")
     r, n, m = (int(x) for x in head)
+    if n > MAX_HG_VERTICES:
+        raise ValueError(f"header n = {n} exceeds the cap of {MAX_HG_VERTICES}")
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

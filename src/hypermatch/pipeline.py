@@ -348,16 +348,16 @@ def extend_cover_nine_sided(
 
 def extend_cover_triples(
     h: Hypergraph, cover: Cover, cfg: PipelineConfig
-) -> tuple[Cover, int, list[dict]]:
+) -> tuple[Cover, int, int]:
     """Classify block-triple link graphs and harvest the perfect-matching
-    case with four diagonal pulls; covered-terminal triples are recorded.
+    case with four diagonal pulls; covered-terminal (Ext) triples are counted.
     Degree-pattern verdicts change nothing: at uniform class size their
     pulls re-cover no more vertices than the three blocks they consume.
     """
     l = cover.class_size
     blocks = list(cover.blocks)
     leftover = set(cover.leftover)
-    ext_triples: list[dict] = []
+    ext_triples = 0
     consumed: set[int] = set()
     new_blocks: list[MultipartiteWitness] = []
     gain = 0
@@ -376,16 +376,7 @@ def extend_cover_triples(
             continue
         result = classify(mask)
         if result.verdict is Verdict.EXT:
-            cov = result.witness
-            ext_triples.append(
-                {
-                    "blocks": [a, b, c],
-                    "cover_classes": [
-                        list(blocks[x].classes[v])
-                        for x, v in zip((a, b, c), cov)
-                    ],
-                }
-            )
+            ext_triples += 1
             continue
         if result.verdict is Verdict.PERFECT_MATCHING:
             pool = set(leftover)
@@ -421,7 +412,7 @@ def extend_cover_triples(
             leftover -= pulled_v - old_v
             leftover |= old_v - pulled_v
             gain += 4 * l
-    if not consumed and not ext_triples:
+    if not consumed:
         return cover, 0, ext_triples
     kept = [w for idx, w in enumerate(blocks) if idx not in consumed]
     return Cover(cover.universe, l, tuple(kept + new_blocks)), gain, ext_triples
@@ -680,32 +671,19 @@ def solve_pipeline(
                 "blocks": len(cover.blocks),
                 "leftover": len(cover.leftover),
                 "gain": total,
-                "ext_triples": len(ext_triples),
+                "ext_triples": ext_triples,
             }
         )
         if total == 0:
-            if ext_triples:
-                # covered-terminal triples dominate: let extremal detection
-                # arbitrate on the evidence
-                b = detect_extremal(h, cfg.alpha)
-                if b is not None:
-                    report.path = "extremal"
-                    m = extremal_matcher(h, b, cfg.alpha, seed=cfg.seed)
-                    report.stages.append(
-                        {"name": "extremal-matcher", "found": m is not None}
-                    )
-                    if m is not None:
-                        return finish(list(m))
-                    return fallback()
             break
     m_partial = _blocks_to_matching(cover)
     leftover = cover.leftover
     report.stages.append(
         {"name": "cover", "blocks": len(cover.blocks), "leftover": len(leftover)}
     )
-    if am is not None and len(leftover) <= 4 * (len(am.base) // 3):
+    if am is not None and len(leftover) <= 4 * len(am.blocks):
         try:
-            full = absorb(h, am, m_partial, leftover, seed=cfg.seed)
+            full = absorb(h, am, m_partial, leftover)
             report.stages.append({"name": "absorb", "leftover": len(leftover)})
             return finish(list(full))
         except AbsorptionFailed:

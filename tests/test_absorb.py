@@ -1,10 +1,12 @@
 """Absorbing sets and absorbing matchings."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from hypermatch.absorb import (
+    AbsorbingMatching,
     absorb,
     build_absorbing_matching,
     is_absorbing_set,
@@ -58,7 +60,7 @@ class TestBuild:
         h, _ = planted_pm_instance(24, 0.3, seed=1)
         a = build_absorbing_matching(h, max_size=6, trials=16, seed=5, samples=15)
         b = build_absorbing_matching(h, max_size=6, trials=16, seed=5, samples=15)
-        assert a.base == b.base and a.absorbers == b.absorbers
+        assert a.blocks == b.blocks
         assert (a.attempts, a.successes) == (b.attempts, b.successes)
 
     def test_size_cap_respected(self):
@@ -90,16 +92,31 @@ class TestAbsorb:
         assert covered == base_v | set(w)
         assert validate_matching(h, out).valid
 
-    def test_registered_absorber_always_succeeds(self):
+    def test_fresh_four_sets_absorbed(self):
         h, _ = planted_pm_instance(24, 0.4, seed=9)
         am = build_absorbing_matching(h, max_size=9, trials=32, seed=9, samples=30)
-        hits = 0
-        for w in sorted(am.absorbers, key=sorted)[:5]:
-            out = absorb(h, am, [], sorted(w))
+        assert am.blocks
+        rng = random.Random("fresh")
+        free = sorted(set(range(24)) - am.vertices())
+        for _ in range(5):
+            w = rng.sample(free, 4)
+            out = absorb(h, am, [], w)
             covered = {v for e in out for v in e}
             assert covered == set(am.vertices()) | set(w)
-            hits += 1
-        assert hits > 0
+
+    def test_each_four_set_spends_one_whole_block(self):
+        h = complete(32)
+        first = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11))
+        second = ((12, 13, 14, 15), (16, 17, 18, 19), (20, 21, 22, 23))
+        am = AbsorbingMatching(blocks=(first, second))
+        out = absorb(h, am, [], range(24, 28))
+        spent = set(range(12)) | set(range(24, 28))
+        assert set(second) <= set(out)
+        assert all(set(e) <= spent for e in set(out) - set(second))
+        out = absorb(h, am, [], range(24, 32))
+        assert {v for e in out for v in e} == set(range(32))
+        with pytest.raises(AbsorptionFailed):
+            absorb(h, AbsorbingMatching(blocks=(first,)), [], range(24, 32))
 
     def test_failure_raises(self):
         h = Hypergraph(24, 4, [(0, 1, 2, 3)])

@@ -22,6 +22,7 @@ from hypermatch.construct import (
     threshold,
 )
 from hypermatch.core import Hypergraph, validate_matching
+from hypermatch.errors import AbsorptionFailed
 from hypermatch.extract import (
     extract_one_three,
     extract_partite_volume,
@@ -203,9 +204,18 @@ def test_c7_absorbing_behavior(verdict):
     am = build_absorbing_matching(h, max_size=15, trials=64, seed="acc-c7",
                                   samples=200)
     rate = am.success_rate
+    # fresh seeded 4-sets outside the base, not the ones the build sampled
+    rng = random.Random("acc-c7/fresh")
+    free = sorted(set(range(n)) - am.vertices())
+    fresh = 200
     cover_failures = 0
-    for w in sorted(am.absorbers, key=sorted):
-        out = absorb(h, am, [], sorted(w), seed="acc-c7")
+    for _ in range(fresh):
+        w = rng.sample(free, 4)
+        try:
+            out = absorb(h, am, [], w)
+        except AbsorptionFailed:
+            cover_failures += 1
+            continue
         covered = {v for e in out for v in e}
         if covered != set(am.vertices()) | set(w) or not validate_matching(
             h, out
@@ -215,8 +225,8 @@ def test_c7_absorbing_behavior(verdict):
     verdict(
         "C7 absorbing behavior",
         ok,
-        f"registration {am.successes}/{am.attempts}, "
-        f"{cover_failures} bad covers among {len(am.absorbers)} absorbs",
+        f"build {am.successes}/{am.attempts}, "
+        f"{cover_failures} bad covers among {fresh} fresh absorbs",
     )
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hypermatch import cli
 from hypermatch.cli import main
 from hypermatch.construct import extremal_link_graph, threshold
@@ -154,6 +156,13 @@ class TestVerify:
             capsys, "verify", "tightness", "--n", "8,12,16", "--no-timings"
         )
         assert code == 0 and report["violations"] == []
+
+    @pytest.mark.parametrize("campaign", ["pipeline", "absorb"])
+    def test_one_size_campaign_rejects_size_list(self, campaign, capsys):
+        code = main(["verify", campaign, "--n", "8,12", "--instances", "1",
+                     "--samples", "2", "--no-timings"])
+        err = capsys.readouterr().err
+        assert code == 2 and "takes one --n" in err
 
     def test_solver_agreement(self, capsys):
         code, report = run_json(

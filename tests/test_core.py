@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch.core import (
+    MAX_HG_VERTICES,
     DensityKind,
     Hypergraph,
     PartiteSpec,
@@ -17,10 +18,25 @@ from hypermatch.core import (
 )
 from hypermatch.errors import (
     EmptyInput,
+    HypermatchError,
     InvalidDegreeOrder,
     InvalidPartition,
     InvalidVertex,
     TooSmall,
+)
+
+
+# .hg-like text: integer tokens near 0 and near the header cap, plus junk
+_hg_token = st.one_of(
+    st.integers(-2, 12),
+    st.integers(MAX_HG_VERTICES - 2, MAX_HG_VERTICES + 2),
+    st.sampled_from(["#", "x", "1.5", "0x4", "١"]),
+).map(str)
+_hg_text = st.one_of(
+    st.text(),
+    st.lists(st.lists(_hg_token, max_size=5).map(" ".join), max_size=6).map(
+        lambda lines: "\n".join(lines) + "\n"
+    ),
 )
 
 
@@ -188,6 +204,20 @@ class TestHgFormat:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_hg("\n")
+
+    def test_header_n_cap(self):
+        assert parse_hg(f"4 {MAX_HG_VERTICES} 0\n").n == MAX_HG_VERTICES
+        with pytest.raises(ValueError):
+            parse_hg(f"4 {MAX_HG_VERTICES + 1} 0\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_hg_text)
+    def test_any_text_parses_or_raises(self, text):
+        try:
+            h = parse_hg(text)
+        except (ValueError, HypermatchError):
+            return
+        assert isinstance(h, Hypergraph) and h.n <= MAX_HG_VERTICES
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
