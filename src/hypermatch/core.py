@@ -6,9 +6,11 @@ the per-vertex edge bitsets, where bit ``i`` of vertex ``v``'s int is set iff
 ``v`` lies in ``edges[i]``.  ``Hypergraph._exactly`` turns them into the
 bitset of edges with exactly k vertices in a set; ANDing one such bitset per
 class selects the edges of a partite shape, ``bit_count`` counts them and
-``Hypergraph._edges_of`` lists them in edge order.  All density values are exact
-:class:`fractions.Fraction` so that threshold comparisons (``>= 2 * eta``
-and friends) never suffer float rounding.
+``Hypergraph._edges_of`` lists them in edge order.  The bitsets are built
+once per graph, in time near-linear in the edge count m: fixed windows of
+edges are filled separately and merged pairwise (``_vertex_bitsets``).  All
+density values are exact :class:`fractions.Fraction` so that threshold
+comparisons (``>= 2 * eta`` and friends) never suffer float rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +31,55 @@ from .errors import (
 )
 
 Edge = tuple[int, ...]
+
+# Edges per window of the bitset build: every ``|=`` inside a window touches
+# at most this many bits.  The window's bits are precomputed so that a small
+# graph pays no shift per edge.
+_WINDOW = 512
+_WINDOW_BITS = tuple(1 << i for i in range(_WINDOW))
+
+
+def _vertex_bitsets(n: int, edges: Sequence[Edge]) -> list[int]:
+    """Per-vertex ints with bit ``i`` of ``v``'s set iff ``v`` lies in ``edges[i]``.
+
+    Setting one bit at a time in the full-width ints would copy an int as
+    long as the edge index on every ``|=``, about r·m²/64 word operations.
+    Instead each window of ``_WINDOW`` edges is filled on its own, and the
+    windows are merged pairwise as a binary counter (``low | high << width``),
+    so each edge's bits are copied once per merge level: about
+    n·m/64 · log2(m/_WINDOW) word operations.  At most one partial result per
+    level is alive at a time.
+    """
+    stack: list[tuple[int, list[int]]] = []  # (width in edges, bitsets), widths decreasing
+    for start in range(0, len(edges), _WINDOW):
+        window = edges[start : start + _WINDOW]
+        part = [0] * n
+        for bit, e in zip(_WINDOW_BITS, window):
+            for v in e:
+                part[v] |= bit
+        width = len(window)
+        while stack and stack[-1][0] == width:
+            low_width, low = stack.pop()
+            part = _merge_bits(low, low_width, part)
+            width += low_width
+        stack.append((width, part))
+    bits = stack.pop()[1] if stack else [0] * n
+    while stack:
+        low_width, low = stack.pop()
+        bits = _merge_bits(low, low_width, bits)
+    return bits
+
+
+def _merge_bits(low: list[int], width: int, high: list[int]) -> list[int]:
+    """``low[v] | high[v] << width`` for every v, written into ``low``.
+
+    Each vertex's inputs are released as its result is stored, so the merge
+    holds little more than one copy of the bits.
+    """
+    for v, hi in enumerate(high):
+        high[v] = 0
+        low[v] |= hi << width
+    return low
 
 
 class Hypergraph:
@@ -62,13 +113,8 @@ class Hypergraph:
         self.n = n
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(norm)
-        self.edge_set: frozenset[Edge] = frozenset(norm)
-        bits = [0] * n
-        for idx, e in enumerate(norm):
-            bit = 1 << idx
-            for v in e:
-                bits[v] |= bit
-        self._vertex_bits = bits
+        self.edge_set: frozenset[Edge] = frozenset(seen)
+        self._vertex_bits = _vertex_bitsets(n, norm)
 
     # -- basic queries ----------------------------------------------------
 

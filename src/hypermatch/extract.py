@@ -58,9 +58,6 @@ class MultipartiteWitness:
             seen |= set(c)
         return all(h.has_edge(t) for t in product(*self.classes))
 
-    def as_partite_spec(self) -> PartiteSpec:
-        return PartiteSpec.of(*self.classes)
-
     def vertices(self) -> frozenset[int]:
         return frozenset(v for c in self.classes for v in c)
 

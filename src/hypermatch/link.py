@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .core import DensityKind, Hypergraph, PartiteSpec
-from .errors import InvalidPartition, LemmaViolation, NotApplicable, NotDisjoint
+from .errors import InvalidPartition, LemmaViolation, NotApplicable
 
 FULL_MASK = (1 << 64) - 1
 
@@ -127,16 +127,6 @@ class Classification:
 def pair_degree(mask: int, side: Side, x: int, y: int) -> int:
     """Size of the third-class neighborhood of the pair (x, y)."""
     return (mask & PAIR_MASKS[side][x][y]).bit_count()
-
-
-def crossing_degree_sum(
-    mask: int, side: Side, pair1: tuple[int, int], pair2: tuple[int, int]
-) -> int:
-    """deg(x1, y2) + deg(x2, y1) for two disjoint pairs of one side."""
-    (x1, y1), (x2, y2) = pair1, pair2
-    if x1 == x2 or y1 == y2:
-        raise NotDisjoint(f"pairs {pair1} and {pair2} share a vertex")
-    return pair_degree(mask, side, x1, y2) + pair_degree(mask, side, x2, y1)
 
 
 def tripartite_perfect_matching(mask: int) -> Optional[tuple[tuple[int, int, int], ...]]:
@@ -282,25 +272,6 @@ def canonical_form(mask: int) -> int:
     images = bits[_CANON_TABLE]  # (82944, 64) of 0/1
     values = images @ _CANON_WEIGHTS
     return int(values.min())
-
-
-def apply_relabeling(
-    mask: int,
-    class_order: tuple[int, int, int],
-    p1: Sequence[int],
-    p2: Sequence[int],
-    p3: Sequence[int],
-) -> int:
-    """Relabel within classes then permute the classes; used for orbit tests."""
-    out = 0
-    ps = (p1, p2, p3)
-    for b in range(64):
-        if mask >> b & 1:
-            t = triple_of_bit(b)
-            relabeled = tuple(ps[axis][t[axis]] for axis in range(3))
-            reordered = tuple(relabeled[class_order[axis]] for axis in range(3))
-            out |= 1 << bit_index(*reordered)
-    return out
 
 
 def build_link_graph(

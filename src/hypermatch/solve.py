@@ -177,18 +177,6 @@ def max_matching_bruteforce(h: Hypergraph) -> int:
     return best
 
 
-def greedy_matching(h: Hypergraph) -> tuple[Edge, ...]:
-    """Maximal matching built by repeatedly taking the lexicographically
-    least edge disjoint from the current matching."""
-    used = 0
-    out: list[Edge] = []
-    for e, em in zip(h.edges, _edge_masks(h)):
-        if not em & used:
-            out.append(e)
-            used |= em
-    return tuple(out)
-
-
 def min_degree_peel_vertices(h: Hypergraph) -> list[int]:
     """Surviving vertices after peeling all vertices of degree < |E|/|V|.
 
@@ -196,7 +184,7 @@ def min_degree_peel_vertices(h: Hypergraph) -> list[int]:
     whose current degree falls below it, until none remains.
     """
     if not h.edges:
-        raise EmptyInput("min_degree_peel needs at least one edge")
+        raise EmptyInput("min_degree_peel_vertices needs at least one edge")
     theta = Fraction(len(h.edges), h.n)
     alive = set(range(h.n))
     edges = [set(e) for e in h.edges]
@@ -220,11 +208,6 @@ def min_degree_peel_vertices(h: Hypergraph) -> list[int]:
                 for u in e:
                     deg[u] -= 1
     return sorted(alive)
-
-
-def min_degree_peel(h: Hypergraph) -> Hypergraph:
-    """Nonempty subgraph with minimum vertex degree >= |E(H)|/|V(H)|."""
-    return h.induce(min_degree_peel_vertices(h))
 
 
 def hall_matching(adjacency: Sequence[Sequence[int]], n_left: int) -> HallOutcome:

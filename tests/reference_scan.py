@@ -5,7 +5,8 @@ kernel-backed functions against: ``Hypergraph.density``,
 ``partite_density`` and ``induce`` (as functions of ``h``), the row
 builders of the three extraction ops, ``build_link_graph``,
 ``detect_extremal`` and ``extremal_matcher``.  Each walks every edge of
-``h`` per call.  Not part of the package.
+``h`` per call.  Also kept: the one-edge-at-a-time loop that built the
+per-vertex bitsets before the windowed build.  Not part of the package.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ from hypermatch.solve import hall_matching, has_perfect_matching
 
 
 # -- core --------------------------------------------------------------------
+
+
+def vertex_bits(n: int, norm: Sequence[Edge]) -> list[int]:
+    """Per-vertex edge bitsets, set one incidence at a time in the
+    full-width ints (about r·m²/64 word operations)."""
+    bits = [0] * n
+    for idx, e in enumerate(norm):
+        bit = 1 << idx
+        for v in e:
+            bits[v] |= bit
+    return bits
 
 
 def density(h: Hypergraph, vertices: Iterable[int]) -> Fraction:

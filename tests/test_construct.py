@@ -15,9 +15,22 @@ from hypermatch.construct import (
     random_link_graph,
     threshold,
 )
-from hypermatch.core import validate_matching
+from hypermatch.core import Hypergraph, validate_matching
 from hypermatch.errors import Indivisible, Infeasible
 from hypermatch.link import Pattern, detect_pattern, is_ext
+from hypermatch.solve import has_perfect_matching
+
+# One 4-set from each of the 35 complementary pairs on 8 vertices (found by
+# a seeded hill climb): no perfect matching, and minimum degree 17.
+N8_PM_FREE = (
+    (0, 1, 2, 5), (0, 1, 2, 7), (0, 1, 3, 4), (0, 1, 4, 5), (0, 1, 4, 6),
+    (0, 1, 5, 6), (0, 1, 5, 7), (0, 2, 3, 4), (0, 2, 3, 6), (0, 2, 3, 7),
+    (0, 2, 4, 6), (0, 2, 4, 7), (0, 3, 4, 5), (0, 3, 5, 7), (0, 3, 6, 7),
+    (0, 4, 5, 6), (0, 4, 6, 7), (1, 2, 3, 4), (1, 2, 3, 6), (1, 2, 4, 7),
+    (1, 2, 5, 6), (1, 2, 5, 7), (1, 3, 4, 5), (1, 3, 4, 6), (1, 3, 4, 7),
+    (1, 3, 6, 7), (1, 4, 6, 7), (2, 3, 4, 5), (2, 3, 5, 6), (2, 4, 5, 6),
+    (2, 4, 5, 7), (2, 4, 6, 7), (3, 4, 5, 7), (3, 5, 6, 7), (4, 5, 6, 7),
+)
 
 
 class TestThreshold:
@@ -33,6 +46,35 @@ class TestThreshold:
         for n in (7, 10, 4, 0):
             with pytest.raises(Indivisible):
                 threshold(n)
+
+
+class TestSmallN:
+    """The threshold guarantee holds only for n large enough: at n = 8 a
+    graph above the threshold has no perfect matching."""
+
+    def test_averaging_bound_at_n8(self):
+        # A perfect matching on 8 vertices is a complementary pair of 4-sets.
+        # A PM-free graph takes at most one set of each pair, so at most 35
+        # edges, and each vertex lies in exactly one set of each pair: the
+        # degrees sum to at most 4 * 35 = 140, so the minimum degree is at
+        # most 17.
+        pairs = [
+            (s, tuple(v for v in range(8) if v not in s))
+            for s in combinations(range(8), 4)
+            if 0 in s
+        ]
+        assert len(pairs) == comb(8, 4) // 2 == 35
+        for v in range(8):
+            assert all((v in s) + (v in c) == 1 for s, c in pairs)
+        assert 4 * len(pairs) // 8 == 17
+
+    def test_pm_free_graph_above_threshold_at_n8(self):
+        h = Hypergraph(8, 4, N8_PM_FREE)
+        assert len(h.edges) == 35
+        complements = {tuple(v for v in range(8) if v not in e) for e in h.edges}
+        assert not complements & h.edge_set
+        assert h.min_degree(1) == 17 > threshold(8) == 16
+        assert has_perfect_matching(h) is None
 
 
 class TestExtremalConstruction:

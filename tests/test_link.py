@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 from hypermatch.construct import extremal_link_graph, pattern_witness, random_link_graph
 from hypermatch.core import Hypergraph, PartiteSpec
-from hypermatch.errors import NotApplicable, NotDisjoint
+from hypermatch.errors import NotApplicable
 from hypermatch.link import (
     COVER_MASKS,
     SIDES,
     Pattern,
     Verdict,
-    apply_relabeling,
     bit_index,
     build_link_graph,
     canonical_form,
     classify,
-    crossing_degree_sum,
     detect_pattern,
     format_mask,
     is_ext,
@@ -35,6 +33,20 @@ from hypermatch.link import (
 
 FULL = (1 << 64) - 1
 HEXT = extremal_link_graph()
+
+
+def apply_relabeling(mask, class_order, p1, p2, p3) -> int:
+    """Relabel within classes then permute the classes: one element of the
+    symmetry group that ``canonical_form`` quotients by."""
+    out = 0
+    ps = (p1, p2, p3)
+    for b in range(64):
+        if mask >> b & 1:
+            t = triple_of_bit(b)
+            relabeled = tuple(ps[axis][t[axis]] for axis in range(3))
+            reordered = tuple(relabeled[class_order[axis]] for axis in range(3))
+            out |= 1 << bit_index(*reordered)
+    return out
 
 
 class TestMask:
@@ -67,13 +79,6 @@ class TestPairDegree:
                         coords[side[0]], coords[side[1]], coords[axis] = x, y, t
                         want += m >> bit_index(*coords) & 1
                     assert pair_degree(m, side, x, y) == want
-
-    def test_crossing_degree_requires_disjoint(self):
-        with pytest.raises(NotDisjoint):
-            crossing_degree_sum(FULL, (0, 1), (0, 0), (0, 1))
-
-    def test_crossing_degree_full(self):
-        assert crossing_degree_sum(FULL, (0, 1), (0, 0), (1, 1)) == 8
 
 
 class TestTripartitePM:

@@ -3,18 +3,22 @@
 ``reference_scan`` holds the previous scans verbatim.  The kernel-backed
 functions must give the same densities, the same induced graphs, the same
 incidences and link graphs, the same extremal set and the same matchings,
-on seeded hypergraphs with n from 8 to 32 and seeded disjoint classes.
+on seeded hypergraphs with n from 8 to 32 and seeded disjoint classes.  The
+windowed bitset build must give the same ints as the per-edge loop.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference_scan as ref
 from hypermatch import extract
-from hypermatch.core import DensityKind, Hypergraph, PartiteSpec
+from hypermatch.core import _WINDOW, DensityKind, Hypergraph, PartiteSpec
 from hypermatch.link import build_link_graph
 from hypermatch.pipeline import detect_extremal, extremal_matcher
 
@@ -63,6 +67,48 @@ def near_extremal(n: int, seed) -> Hypergraph:
         return bool(heavy.intersection(e)) or rng.random() < fill
 
     return Hypergraph(n, 4, [e for e in combinations(range(n), 4) if keep(e)])
+
+
+W = _WINDOW
+
+
+def assert_same_bitsets(h: Hypergraph) -> None:
+    assert h._vertex_bits == ref.vertex_bits(h.n, h.edges)
+    assert h.edge_set == frozenset(h.edges)
+
+
+class TestVertexBits:
+    @pytest.mark.parametrize("r", (2, 3, 4))
+    @pytest.mark.parametrize(
+        # odd window counts leave an unpaired partial result for the fold
+        "m", (0, 1, W - 1, W, W + 1, 2 * W, 2 * W + 1, 3 * W, 5 * W + 3)
+    )
+    def test_window_boundaries(self, r, m):
+        n = next(n for n in range(r, 1000) if comb(n, r) >= 5 * W + 3)
+        rng = random.Random(f"bits/{r}/{m}")
+        edges = rng.sample(list(combinations(range(n), r)), m)
+        h = Hypergraph(n, r, edges)
+        assert len(h.edges) == m
+        assert_same_bitsets(h)
+
+    def test_near_extremal_n48(self):
+        h = near_extremal(48, 0)
+        assert len(h.edges) > 200 * W
+        assert_same_bitsets(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 20),
+        st.floats(0, 1),
+        st.integers(0, 2**32),
+    )
+    def test_random_edge_sets(self, r, n, p, seed):
+        assume(n >= r)
+        rng = random.Random(seed)
+        edges = [e for e in combinations(range(n), r) if rng.random() < p]
+        rng.shuffle(edges)
+        assert_same_bitsets(Hypergraph(n, r, edges))
 
 
 class TestKernel:

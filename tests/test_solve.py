@@ -12,12 +12,10 @@ from hypermatch.construct import extremal_construction, planted_pm_instance
 from hypermatch.core import Hypergraph, validate_matching
 from hypermatch.errors import EmptyInput, Indivisible
 from hypermatch.solve import (
-    greedy_matching,
     hall_matching,
     has_perfect_matching,
     max_matching_bruteforce,
     max_matching_exact,
-    min_degree_peel,
     min_degree_peel_vertices,
 )
 
@@ -76,15 +74,6 @@ class TestPerfectMatching:
             has_perfect_matching(Hypergraph(9, 4, [(0, 1, 2, 3)]))
 
 
-class TestGreedy:
-    def test_greedy_is_maximal_matching(self):
-        h = random_graph(77)
-        m = greedy_matching(h)
-        assert validate_matching(h, m).valid
-        used = {v for e in m for v in e}
-        assert all(any(v in used for v in e) for e in h.edges)
-
-
 class TestPeel:
     def test_min_degree_bound(self):
         # surviving subgraph has min vertex degree >= |E|/|V| of the input
@@ -93,7 +82,7 @@ class TestPeel:
             if not h.edges:
                 continue
             theta = Fraction(len(h.edges), h.n)
-            sub = min_degree_peel(h)
+            sub = h.induce(min_degree_peel_vertices(h))
             assert sub.edges
             assert all(sub.degree((v,)) >= theta for v in range(sub.n))
 
