@@ -98,22 +98,25 @@ class Hypergraph:
         if n < r:
             raise ValueError("need n >= r")
         norm: list[Edge] = []
-        seen: set[Edge] = set()
         for raw in edges:
             e = tuple(sorted(raw))
             if len(e) != r or len(set(e)) != r:
                 raise ValueError(f"edge {raw!r} is not a set of {r} distinct vertices")
             if e[0] < 0 or e[-1] >= n:
                 raise InvalidVertex(f"edge {e!r} uses a vertex outside [0, {n})")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e!r}")
-            seen.add(e)
             norm.append(e)
+        # via a set: a frozenset copied from a set is sized for its length,
+        # while one grown edge by edge from a list can take twice the memory
+        edge_set = frozenset(set(norm))
+        if len(edge_set) != len(norm):
+            seen: set[Edge] = set()
+            dup = next(e for e in norm if e in seen or seen.add(e))
+            raise ValueError(f"duplicate edge {dup!r}")
         norm.sort()
         self.n = n
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(norm)
-        self.edge_set: frozenset[Edge] = frozenset(seen)
+        self.edge_set: frozenset[Edge] = edge_set
         self._vertex_bits = _vertex_bitsets(n, norm)
 
     # -- basic queries ----------------------------------------------------

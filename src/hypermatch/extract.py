@@ -1,11 +1,13 @@
 """Dense-substructure extraction: complete multipartite blocks pulled out of
 dense incidences.
 
-The primary route mirrors the counting argument: keep the right items with
-large degree, bucket them by exact neighborhood, then search the bucket for
-a complete balanced block.  At small scale buckets can be too thin, so every
-extraction op falls back to a bounded backtracking search for the block; the
-witness records which route produced it.
+The 1+3, 1+1+2 and 1+1+1+1 extractions are one routine on three shapes: the
+transversals of one, two or three left classes against the 3-, 2- or 1-sets
+of a pool.  It mirrors the counting argument: keep the right items with
+large degree, bucket them by exact neighborhood, then complete each side of
+the largest bucket to a balanced block.  At small scale buckets can be too
+thin, so the routine falls back to a bounded backtracking search for the
+block; the witness records which route produced it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .core import DensityKind, Hypergraph, PartiteSpec
-from .errors import EmptyInput, InsufficientDensity
+from .core import Hypergraph, PartiteSpec
+from .errors import EmptyInput, InsufficientDensity, InvalidPartition, InvalidVertex
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,17 @@ def find_complete_r_partite(
 
 
 def _aux_find_partite(
-    edge_tuples: Sequence[tuple[int, ...]],
+    items: Sequence,
     domains: Sequence[Sequence[int]],
     size: int,
     budget: int,
 ) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Complete block search in an auxiliary graph given by raw edge tuples."""
-    edge_set = frozenset(tuple(sorted(e)) for e in edge_tuples)
+    """Complete block search in the auxiliary graph whose edges are the
+    items.  Items of one vertex are plain ints, and any ``size`` of them
+    form a block: the first ``size`` are taken."""
+    if len(domains) == 1:
+        return (tuple(items[:size]),) if len(items) >= size else None
+    edge_set = frozenset(tuple(sorted(e)) for e in items)
     return _complete_block_search(edge_set, domains, size, budget)
 
 
@@ -187,55 +193,73 @@ def _finish(
     return w
 
 
-# The incidence builders take sorted, pairwise disjoint vertex lists and
-# read only the edges of their shape.
+def _item(vertices: Sequence[int]):
+    """An incidence item: a plain vertex when it has one, else a tuple."""
+    return vertices[0] if len(vertices) == 1 else tuple(vertices)
 
 
-def _one_three_incidence(h: Hypergraph, a: list[int], b: list[int]) -> Incidence:
-    """A against the 3-sets of B: bit i of a triple's row is set iff the
-    triple and ``a[i]`` form an edge."""
-    a_pos = {v: i for i, v in enumerate(a)}
-    rows: dict[tuple[int, ...], int] = {}
-    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 3)):
-        x = next(v for v in e if v in a_pos)
-        rest = tuple(v for v in e if v != x)
-        rows[rest] = rows.get(rest, 0) | (1 << a_pos[x])
-    triples = sorted(combinations(b, 3))
-    return Incidence(tuple(a), tuple(triples), tuple(rows.get(t, 0) for t in triples))
-
-
-def _two_two_incidence(
-    h: Hypergraph, a: list[int], b: list[int], z: list[int]
+def _incidence(
+    h: Hypergraph, left_classes: Sequence[Sequence[int]], pool: Sequence[int], k: int
 ) -> Incidence:
-    """The pairs of A x B against the 2-sets of Z."""
-    ab_pairs = [(x, y) for x in a for y in b]
-    pair_pos = {p: i for i, p in enumerate(ab_pairs)}
-    aset, bset = set(a), set(b)
-    rows: dict[tuple[int, ...], int] = {}
-    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(z, 2)):
-        x = next(v for v in e if v in aset)
-        y = next(v for v in e if v in bset)
-        key = tuple(v for v in e if v != x and v != y)
-        rows[key] = rows.get(key, 0) | (1 << pair_pos[(x, y)])
-    zpairs = sorted(combinations(z, 2))
-    return Incidence(
-        tuple(ab_pairs), tuple(zpairs), tuple(rows.get(p, 0) for p in zpairs)
-    )
+    """The transversals of the left classes against the k-sets of the pool.
 
-
-def _volume_incidence(
-    h: Hypergraph, a: list[int], b: list[int], c: list[int], z: list[int]
-) -> Incidence:
-    """The triples of A x B x C against the vertices of Z."""
-    triples = [(x, y, w) for x in a for y in b for w in c]
-    tpos = {t: i for i, t in enumerate(triples)}
-    sets = (set(a), set(b), set(c), set(z))
-    rows = {v: 0 for v in z}
-    selected = h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(c, 1) & h._exactly(z, 1)
+    Takes sorted, pairwise disjoint classes and reads only the edges with
+    one vertex in each left class and k in the pool: bit i of a k-set's row
+    is set iff the k-set and the i-th transversal form an edge.
+    """
+    width = len(left_classes)
+    left = [_item(t) for t in product(*left_classes)]
+    position = {item: i for i, item in enumerate(left)}
+    rows = dict.fromkeys((_item(t) for t in combinations(pool, k)), 0)
+    rank = dict.fromkeys(pool, width)
+    rank.update((v, i) for i, c in enumerate(left_classes) for v in c)
+    selected = h._exactly(pool, k)
+    for c in left_classes:
+        selected &= h._exactly(c, 1)
     for e in h._edges_of(selected):
-        x, y, w, t = (next(v for v in e if v in s) for s in sets)
-        rows[t] |= 1 << tpos[(x, y, w)]
-    return Incidence(tuple(triples), tuple(z), tuple(rows[v] for v in z))
+        t = sorted(e, key=rank.__getitem__)  # the transversal, then the k-set
+        rows[_item(t[width:])] |= 1 << position[_item(t[:width])]
+    return Incidence(tuple(left), tuple(rows), tuple(rows.values()))
+
+
+def _extract(
+    h: Hypergraph,
+    left_classes: Sequence[Sequence[int]],
+    pool: Sequence[int],
+    k: int,
+    roles: str,
+    eta: Fraction,
+    size: int,
+    budget: int,
+) -> Optional[MultipartiteWitness]:
+    """Complete block with one class in each left class and k disjoint
+    classes in the pool, from the dense (left transversals, k-sets of the
+    pool) incidence of a 4-graph; ``roles`` names the classes in order.
+    Another uniformity raises InvalidPartition, as the volume shape's
+    density always did."""
+    *left, pool = PartiteSpec.of(*map(set, left_classes), set(pool)).classes
+    if h.r != 4:
+        raise InvalidPartition(f"the extraction shapes need a 4-graph, not r = {h.r}")
+    for c in left + [pool]:
+        for v in c:
+            if not 0 <= v < h.n:
+                raise InvalidVertex(f"vertex {v} outside [0, {h.n})")
+    inc = _incidence(h, left, pool, k)
+    good = dense_side(inc, eta)  # raises InsufficientDensity below 2*eta
+    if good:
+        row_of = dict(zip(inc.right, inc.rows))
+        shared, bucket = common_neighborhood_bucket(
+            Incidence(inc.left, tuple(good), tuple(row_of[item] for item in good))
+        )
+        left_block = _aux_find_partite(shared, left, size, budget)
+        if left_block is not None:
+            right_block = _aux_find_partite(bucket, [pool] * k, size, budget)
+            if right_block is not None:
+                return _finish(h, left_block + right_block, roles, "bucket")
+    direct = _complete_block_search(h.edge_set, left + [pool] * k, size, budget)
+    if direct is None:
+        return None
+    return _finish(h, direct, roles, "backtrack")
 
 
 def extract_one_three(
@@ -248,29 +272,7 @@ def extract_one_three(
 ) -> Optional[MultipartiteWitness]:
     """Complete block with one class in A and three disjoint classes in B,
     from a dense (A, 3-sets of B) incidence."""
-    a = sorted(set(a_set))
-    b = sorted(set(b_set))
-    parts = PartiteSpec.of(a, b)
-    if h.partite_density(DensityKind.SPLIT_1_3, parts) < 2 * eta:
-        raise InsufficientDensity("d(A, (B choose 3)) below 2*eta")
-    inc = _one_three_incidence(h, a, b)
-    try:
-        good = dense_side(inc, eta)
-        gi = [inc.right.index(t) for t in good]
-        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
-        shared_a, bucket = common_neighborhood_bucket(sub)
-        if len(shared_a) >= size:
-            aux = _aux_find_partite(bucket, [b, b, b], size, budget)
-            if aux is not None:
-                return _finish(
-                    h, (tuple(shared_a[:size]),) + aux, ("A", "B", "B", "B"), "bucket"
-                )
-    except (InsufficientDensity, EmptyInput):
-        pass
-    direct = _complete_block_search(h.edge_set, [a, b, b, b], size, budget)
-    if direct is None:
-        return None
-    return _finish(h, direct, ("A", "B", "B", "B"), "backtrack")
+    return _extract(h, [a_set], b_set, 3, "ABBB", eta, size, budget)
 
 
 def extract_two_two(
@@ -284,31 +286,7 @@ def extract_two_two(
 ) -> Optional[MultipartiteWitness]:
     """Complete block with classes in A, B and two disjoint classes in Z,
     from a dense (A x B, pairs of Z) incidence."""
-    a = sorted(set(a_set))
-    b = sorted(set(b_set))
-    z = sorted(set(z_set))
-    parts = PartiteSpec.of(a, b, z)
-    if h.partite_density(DensityKind.SPLIT_1_1_2, parts) < 2 * eta:
-        raise InsufficientDensity("d(A, B, (Z choose 2)) below 2*eta")
-    inc = _two_two_incidence(h, a, b, z)
-    try:
-        good = dense_side(inc, eta)
-        gi = [inc.right.index(p) for p in good]
-        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
-        shared_ab, bucket = common_neighborhood_bucket(sub)
-        z_block = _aux_find_partite(bucket, [z, z], size, budget)
-        if z_block is not None:
-            ab_block = _aux_find_partite(shared_ab, [a, b], size, budget)
-            if ab_block is not None:
-                return _finish(
-                    h, ab_block + z_block, ("A", "B", "Z", "Z"), "bucket"
-                )
-    except (InsufficientDensity, EmptyInput):
-        pass
-    direct = _complete_block_search(h.edge_set, [a, b, z, z], size, budget)
-    if direct is None:
-        return None
-    return _finish(h, direct, ("A", "B", "Z", "Z"), "backtrack")
+    return _extract(h, [a_set, b_set], z_set, 2, "ABZZ", eta, size, budget)
 
 
 def extract_partite_volume(
@@ -323,31 +301,4 @@ def extract_partite_volume(
 ) -> Optional[MultipartiteWitness]:
     """Complete block with one class each in A, B, C, Z, from a dense
     (A x B x C, Z) incidence."""
-    a = sorted(set(a_set))
-    b = sorted(set(b_set))
-    c = sorted(set(c_set))
-    z = sorted(set(z_set))
-    parts = PartiteSpec.of(z, a, b, c)
-    if h.partite_density(DensityKind.SPLIT_1_1_1_1, parts) < 2 * eta:
-        raise InsufficientDensity("d(Z, (A x B x C)) below 2*eta")
-    inc = _volume_incidence(h, a, b, c, z)
-    try:
-        good = dense_side(inc, eta)
-        gi = [z.index(v) for v in good]
-        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
-        shared_triples, z_pool = common_neighborhood_bucket(sub)
-        if len(z_pool) >= size:
-            abc = _aux_find_partite(shared_triples, [a, b, c], size, budget)
-            if abc is not None:
-                return _finish(
-                    h,
-                    abc + (tuple(sorted(z_pool)[:size]),),
-                    ("A", "B", "C", "Z"),
-                    "bucket",
-                )
-    except (InsufficientDensity, EmptyInput):
-        pass
-    direct = _complete_block_search(h.edge_set, [a, b, c, z], size, budget)
-    if direct is None:
-        return None
-    return _finish(h, direct, ("A", "B", "C", "Z"), "backtrack")
+    return _extract(h, [a_set, b_set, c_set], z_set, 1, "ABCZ", eta, size, budget)

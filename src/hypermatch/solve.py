@@ -181,33 +181,21 @@ def min_degree_peel_vertices(h: Hypergraph) -> list[int]:
     """Surviving vertices after peeling all vertices of degree < |E|/|V|.
 
     The ratio is fixed on the input; peeling removes the lowest-id vertex
-    whose current degree falls below it, until none remains.
+    whose current degree falls below it, until none remains.  A current
+    degree counts the vertex's edges in the bitset of edges still live.
     """
     if not h.edges:
         raise EmptyInput("min_degree_peel_vertices needs at least one edge")
     theta = Fraction(len(h.edges), h.n)
-    alive = set(range(h.n))
-    edges = [set(e) for e in h.edges]
-    live_edge = [True] * len(edges)
-    deg = [0] * h.n
-    for idx, e in enumerate(edges):
-        for v in e:
-            deg[v] += 1
+    bits = h._vertex_bits
+    alive = list(range(h.n))
+    live = (1 << len(h.edges)) - 1
     while True:
-        victim = -1
-        for v in sorted(alive):
-            if deg[v] < theta:
-                victim = v
-                break
+        victim = next((v for v in alive if (bits[v] & live).bit_count() < theta), -1)
         if victim < 0:
-            break
-        alive.discard(victim)
-        for idx, e in enumerate(edges):
-            if live_edge[idx] and victim in e:
-                live_edge[idx] = False
-                for u in e:
-                    deg[u] -= 1
-    return sorted(alive)
+            return alive
+        alive.remove(victim)
+        live &= ~bits[victim]
 
 
 def hall_matching(adjacency: Sequence[Sequence[int]], n_left: int) -> HallOutcome:

@@ -1,12 +1,15 @@
-"""The edge scans that the bitset kernel ``Hypergraph._exactly`` replaced.
+"""The edge scans that the bitset kernel ``Hypergraph._exactly`` replaced,
+and other code that a shorter body replaced.
 
 Kept verbatim as the reference that ``test_scan_reference.py`` compares the
-kernel-backed functions against: ``Hypergraph.density``,
-``partite_density`` and ``induce`` (as functions of ``h``), the row
-builders of the three extraction ops, ``build_link_graph``,
-``detect_extremal`` and ``extremal_matcher``.  Each walks every edge of
-``h`` per call.  Also kept: the one-edge-at-a-time loop that built the
-per-vertex bitsets before the windowed build.  Not part of the package.
+package against: ``Hypergraph.density``, ``partite_density`` and ``induce``
+(as functions of ``h``), the row builders of the three extraction ops,
+``build_link_graph``, ``detect_extremal`` and ``extremal_matcher``, each of
+which walks every edge of ``h`` per call; the one-edge-at-a-time loop that
+built the per-vertex bitsets before the windowed build; the three
+extraction ops as separate lemma bodies, before they became one routine;
+and ``min_degree_peel_vertices`` with per-edge sets and degree counters,
+before it ran on the edge bitsets.  Not part of the package.
 """
 
 from __future__ import annotations
@@ -23,8 +26,23 @@ from hypermatch.core import (
     PartiteSpec,
     validate_matching,
 )
-from hypermatch.errors import Indivisible, InvalidPartition, InvalidVertex, TooSmall
-from hypermatch.extract import Incidence
+from hypermatch.errors import (
+    EmptyInput,
+    Indivisible,
+    InsufficientDensity,
+    InvalidPartition,
+    InvalidVertex,
+    TooSmall,
+)
+from hypermatch.extract import (
+    Incidence,
+    MultipartiteWitness,
+    _aux_find_partite,
+    _complete_block_search,
+    _finish,
+    common_neighborhood_bucket,
+    dense_side,
+)
 from hypermatch.link import bit_index
 from hypermatch.pipeline import _rng
 from hypermatch.solve import hall_matching, has_perfect_matching
@@ -153,6 +171,177 @@ def volume_incidence(
         if len(ia) == len(ib) == len(ic) == len(iz) == 1:
             rows[iz[0]] |= 1 << tpos[(ia[0], ib[0], ic[0])]
     return Incidence(tuple(triples), tuple(z), tuple(rows[v] for v in z))
+
+
+# -- extraction ops -----------------------------------------------------------
+#
+# ``extract_one_three``, ``extract_two_two`` and ``extract_partite_volume``
+# as three separate lemma bodies, each with its own incidence builder over
+# the bitset kernel, before they became one routine.  They call the
+# package's dense side, bucket and block searches, which are not under test
+# here; ``_aux_find_partite`` is only ever given two or more classes.
+
+
+def _one_three_incidence(h: Hypergraph, a: list[int], b: list[int]) -> Incidence:
+    """A against the 3-sets of B: bit i of a triple's row is set iff the
+    triple and ``a[i]`` form an edge."""
+    a_pos = {v: i for i, v in enumerate(a)}
+    rows: dict[tuple[int, ...], int] = {}
+    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 3)):
+        x = next(v for v in e if v in a_pos)
+        rest = tuple(v for v in e if v != x)
+        rows[rest] = rows.get(rest, 0) | (1 << a_pos[x])
+    triples = sorted(combinations(b, 3))
+    return Incidence(tuple(a), tuple(triples), tuple(rows.get(t, 0) for t in triples))
+
+
+def _two_two_incidence(
+    h: Hypergraph, a: list[int], b: list[int], z: list[int]
+) -> Incidence:
+    """The pairs of A x B against the 2-sets of Z."""
+    ab_pairs = [(x, y) for x in a for y in b]
+    pair_pos = {p: i for i, p in enumerate(ab_pairs)}
+    aset, bset = set(a), set(b)
+    rows: dict[tuple[int, ...], int] = {}
+    for e in h._edges_of(h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(z, 2)):
+        x = next(v for v in e if v in aset)
+        y = next(v for v in e if v in bset)
+        key = tuple(v for v in e if v != x and v != y)
+        rows[key] = rows.get(key, 0) | (1 << pair_pos[(x, y)])
+    zpairs = sorted(combinations(z, 2))
+    return Incidence(
+        tuple(ab_pairs), tuple(zpairs), tuple(rows.get(p, 0) for p in zpairs)
+    )
+
+
+def _volume_incidence(
+    h: Hypergraph, a: list[int], b: list[int], c: list[int], z: list[int]
+) -> Incidence:
+    """The triples of A x B x C against the vertices of Z."""
+    triples = [(x, y, w) for x in a for y in b for w in c]
+    tpos = {t: i for i, t in enumerate(triples)}
+    sets = (set(a), set(b), set(c), set(z))
+    rows = {v: 0 for v in z}
+    selected = h._exactly(a, 1) & h._exactly(b, 1) & h._exactly(c, 1) & h._exactly(z, 1)
+    for e in h._edges_of(selected):
+        x, y, w, t = (next(v for v in e if v in s) for s in sets)
+        rows[t] |= 1 << tpos[(x, y, w)]
+    return Incidence(tuple(triples), tuple(z), tuple(rows[v] for v in z))
+
+
+def extract_one_three(
+    h: Hypergraph,
+    a_set: Sequence[int],
+    b_set: Sequence[int],
+    eta: Fraction,
+    size: int,
+    budget: int = 200_000,
+) -> Optional[MultipartiteWitness]:
+    """Complete block with one class in A and three disjoint classes in B,
+    from a dense (A, 3-sets of B) incidence."""
+    a = sorted(set(a_set))
+    b = sorted(set(b_set))
+    parts = PartiteSpec.of(a, b)
+    if h.partite_density(DensityKind.SPLIT_1_3, parts) < 2 * eta:
+        raise InsufficientDensity("d(A, (B choose 3)) below 2*eta")
+    inc = _one_three_incidence(h, a, b)
+    try:
+        good = dense_side(inc, eta)
+        gi = [inc.right.index(t) for t in good]
+        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
+        shared_a, bucket = common_neighborhood_bucket(sub)
+        if len(shared_a) >= size:
+            aux = _aux_find_partite(bucket, [b, b, b], size, budget)
+            if aux is not None:
+                return _finish(
+                    h, (tuple(shared_a[:size]),) + aux, ("A", "B", "B", "B"), "bucket"
+                )
+    except (InsufficientDensity, EmptyInput):
+        pass
+    direct = _complete_block_search(h.edge_set, [a, b, b, b], size, budget)
+    if direct is None:
+        return None
+    return _finish(h, direct, ("A", "B", "B", "B"), "backtrack")
+
+
+def extract_two_two(
+    h: Hypergraph,
+    a_set: Sequence[int],
+    b_set: Sequence[int],
+    z_set: Sequence[int],
+    eta: Fraction,
+    size: int,
+    budget: int = 200_000,
+) -> Optional[MultipartiteWitness]:
+    """Complete block with classes in A, B and two disjoint classes in Z,
+    from a dense (A x B, pairs of Z) incidence."""
+    a = sorted(set(a_set))
+    b = sorted(set(b_set))
+    z = sorted(set(z_set))
+    parts = PartiteSpec.of(a, b, z)
+    if h.partite_density(DensityKind.SPLIT_1_1_2, parts) < 2 * eta:
+        raise InsufficientDensity("d(A, B, (Z choose 2)) below 2*eta")
+    inc = _two_two_incidence(h, a, b, z)
+    try:
+        good = dense_side(inc, eta)
+        gi = [inc.right.index(p) for p in good]
+        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
+        shared_ab, bucket = common_neighborhood_bucket(sub)
+        z_block = _aux_find_partite(bucket, [z, z], size, budget)
+        if z_block is not None:
+            ab_block = _aux_find_partite(shared_ab, [a, b], size, budget)
+            if ab_block is not None:
+                return _finish(
+                    h, ab_block + z_block, ("A", "B", "Z", "Z"), "bucket"
+                )
+    except (InsufficientDensity, EmptyInput):
+        pass
+    direct = _complete_block_search(h.edge_set, [a, b, z, z], size, budget)
+    if direct is None:
+        return None
+    return _finish(h, direct, ("A", "B", "Z", "Z"), "backtrack")
+
+
+def extract_partite_volume(
+    h: Hypergraph,
+    a_set: Sequence[int],
+    b_set: Sequence[int],
+    c_set: Sequence[int],
+    z_set: Sequence[int],
+    eta: Fraction,
+    size: int,
+    budget: int = 200_000,
+) -> Optional[MultipartiteWitness]:
+    """Complete block with one class each in A, B, C, Z, from a dense
+    (A x B x C, Z) incidence."""
+    a = sorted(set(a_set))
+    b = sorted(set(b_set))
+    c = sorted(set(c_set))
+    z = sorted(set(z_set))
+    parts = PartiteSpec.of(z, a, b, c)
+    if h.partite_density(DensityKind.SPLIT_1_1_1_1, parts) < 2 * eta:
+        raise InsufficientDensity("d(Z, (A x B x C)) below 2*eta")
+    inc = _volume_incidence(h, a, b, c, z)
+    try:
+        good = dense_side(inc, eta)
+        gi = [z.index(v) for v in good]
+        sub = Incidence(inc.left, tuple(good), tuple(inc.rows[i] for i in gi))
+        shared_triples, z_pool = common_neighborhood_bucket(sub)
+        if len(z_pool) >= size:
+            abc = _aux_find_partite(shared_triples, [a, b, c], size, budget)
+            if abc is not None:
+                return _finish(
+                    h,
+                    abc + (tuple(sorted(z_pool)[:size]),),
+                    ("A", "B", "C", "Z"),
+                    "bucket",
+                )
+    except (InsufficientDensity, EmptyInput):
+        pass
+    direct = _complete_block_search(h.edge_set, [a, b, c, z], size, budget)
+    if direct is None:
+        return None
+    return _finish(h, direct, ("A", "B", "C", "Z"), "backtrack")
 
 
 # -- link --------------------------------------------------------------------
@@ -467,3 +656,39 @@ def extremal_matcher(
     result = tuple(sorted(matching))
     check = validate_matching(h, result)
     return result if check.valid and check.perfect else None
+
+
+# -- solve -------------------------------------------------------------------
+
+
+def min_degree_peel_vertices(h: Hypergraph) -> list[int]:
+    """Surviving vertices after peeling all vertices of degree < |E|/|V|.
+
+    The ratio is fixed on the input; peeling removes the lowest-id vertex
+    whose current degree falls below it, until none remains.
+    """
+    if not h.edges:
+        raise EmptyInput("min_degree_peel_vertices needs at least one edge")
+    theta = Fraction(len(h.edges), h.n)
+    alive = set(range(h.n))
+    edges = [set(e) for e in h.edges]
+    live_edge = [True] * len(edges)
+    deg = [0] * h.n
+    for idx, e in enumerate(edges):
+        for v in e:
+            deg[v] += 1
+    while True:
+        victim = -1
+        for v in sorted(alive):
+            if deg[v] < theta:
+                victim = v
+                break
+        if victim < 0:
+            break
+        alive.discard(victim)
+        for idx, e in enumerate(edges):
+            if live_edge[idx] and victim in e:
+                live_edge[idx] = False
+                for u in e:
+                    deg[u] -= 1
+    return sorted(alive)

@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(5, 4, [(0, 1, 2, 3), (3, 2, 1, 0)])
 
+    def test_duplicate_edge_named(self):
+        edges = [(0, 1, 2, 4), (0, 1, 2, 3), (1, 2, 3, 4), (4, 2, 1, 0)]
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1, 2, 4\)"):
+            Hypergraph(5, 4, edges)
+
     def test_vertex_out_of_range(self):
         with pytest.raises(InvalidVertex):
             Hypergraph(4, 4, [(0, 1, 2, 4)])

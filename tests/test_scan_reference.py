@@ -4,9 +4,13 @@
 functions must give the same densities, the same induced graphs, the same
 incidences and link graphs, the same extremal set and the same matchings,
 on seeded hypergraphs with n from 8 to 32 and seeded disjoint classes.  The
-windowed bitset build must give the same ints as the per-edge loop.
+windowed bitset build must give the same ints as the per-edge loop.  The one
+extraction routine must give the same witnesses, None and error types as the
+three lemma bodies it replaced, and ``min_degree_peel_vertices`` the same
+survivors as its per-edge loop.
 """
 
+import collections
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 import reference_scan as ref
 from hypermatch import extract
 from hypermatch.core import _WINDOW, DensityKind, Hypergraph, PartiteSpec
+from hypermatch.errors import InsufficientDensity, InvalidPartition, InvalidVertex
 from hypermatch.link import build_link_graph
 from hypermatch.pipeline import detect_extremal, extremal_matcher
+from hypermatch.solve import min_degree_peel_vertices
 
 SIZES = (8, 11, 16, 20, 25, 32)
 
@@ -156,7 +162,7 @@ class TestExtractIncidences:
             rng = random.Random(f"13/{seed}/{h.n}")
             for _ in range(6):
                 a, b = disjoint_classes(rng, h.n, 2, h.n // 2)
-                got = extract._one_three_incidence(h, a, b)
+                got = extract._incidence(h, [a], b, 3)
                 assert got == ref.one_three_incidence(h, a, b)
 
     def test_two_two(self):
@@ -164,7 +170,7 @@ class TestExtractIncidences:
             rng = random.Random(f"22/{seed}/{h.n}")
             for _ in range(6):
                 a, b, z = disjoint_classes(rng, h.n, 3, 6)
-                got = extract._two_two_incidence(h, a, b, z)
+                got = extract._incidence(h, [a, b], z, 2)
                 assert got == ref.two_two_incidence(h, a, b, z)
 
     def test_volume(self):
@@ -172,8 +178,120 @@ class TestExtractIncidences:
             rng = random.Random(f"vol/{seed}/{h.n}")
             for _ in range(6):
                 a, b, c, z = disjoint_classes(rng, h.n, 4, 4)
-                got = extract._volume_incidence(h, a, b, c, z)
+                got = extract._incidence(h, [a, b, c], z, 1)
                 assert got == ref.volume_incidence(h, a, b, c, z)
+
+
+ETAS = (Fraction(1, 2048), Fraction(1, 16), Fraction(1, 4))
+
+
+def extraction_outcome(op, *args):
+    """The witness, or the type of the error the op raised."""
+    try:
+        return op(*args)
+    except (InsufficientDensity, InvalidPartition, InvalidVertex) as exc:
+        return type(exc)
+
+
+def outcome_label(outcome) -> str:
+    if outcome is None:
+        return "none"
+    if isinstance(outcome, type):
+        return outcome.__name__
+    return outcome.method
+
+
+class TestExtractOps:
+    """The one extraction routine against the three lemma bodies it
+    replaced, on seeded graphs and classes: the same witness (classes,
+    roles, route), the same None and the same error type."""
+
+    OPS = (
+        # (name, op, its reference, number of classes before the pool)
+        ("one_three", extract.extract_one_three, ref.extract_one_three, 1),
+        ("two_two", extract.extract_two_two, ref.extract_two_two, 2),
+        ("volume", extract.extract_partite_volume, ref.extract_partite_volume, 3),
+    )
+
+    @pytest.mark.parametrize("name, op, reference, width", OPS)
+    def test_same_outcome(self, name, op, reference, width):
+        labels = collections.Counter()
+        for seed in range(4):
+            for n in (8, 12, 16):
+                h = random_graph(seed, n)
+                rng = random.Random(f"ops/{name}/{seed}/{n}")
+                for trial in range(8):
+                    classes = disjoint_classes(rng, n, width + 1, n // 2)
+                    if trial == 0:
+                        # overlapping classes
+                        classes[0] = classes[0] + classes[-1][:1]
+                    for size in (1, 2):
+                        for budget in (50, 200_000):
+                            for eta in ETAS:
+                                args = (h, *classes, eta, size, budget)
+                                got = extraction_outcome(op, *args)
+                                assert got == extraction_outcome(reference, *args)
+                                labels[outcome_label(got)] += 1
+        assert set(labels) == {
+            "bucket",
+            "backtrack",
+            "none",
+            "InsufficientDensity",
+            "InvalidPartition",
+        }, labels
+
+    def test_vertex_out_of_range(self):
+        h = random_graph(0, 8)
+        for name, op, reference, width in self.OPS:
+            classes = [[v] for v in range(width)] + [[width, 8, 9]]
+            args = (h, *classes, Fraction(1, 16), 1, 50)
+            assert extraction_outcome(op, *args) is InvalidVertex
+            assert extraction_outcome(reference, *args) is InvalidVertex
+
+    @pytest.mark.parametrize("r", (3, 5))
+    def test_other_uniformity_rejected(self, r):
+        h = random_graph(0, 10, r)
+        for name, op, reference, width in self.OPS:
+            classes = [[v] for v in range(width)] + [list(range(width, 10))]
+            args = (h, *classes, Fraction(1, 16), 1, 50)
+            assert extraction_outcome(op, *args) is InvalidPartition
+        # the reference's volume density already rejected it
+        assert extraction_outcome(ref.extract_partite_volume, *args) is InvalidPartition
+
+
+class TestPeel:
+    @pytest.mark.parametrize("r", (2, 3, 4))
+    def test_matches_reference(self, r):
+        peeled = 0
+        for seed in range(40):
+            rng = random.Random(f"peel/{r}/{seed}")
+            n = rng.randint(r, 11)
+            # uneven vertex weights, so that low-degree vertices get peeled
+            weight = [rng.random() for _ in range(n)]
+            edges = [
+                e
+                for e in combinations(range(n), r)
+                if rng.random() < min(weight[v] for v in e)
+            ]
+            if not edges:
+                continue
+            h = Hypergraph(n, r, edges)
+            got = min_degree_peel_vertices(h)
+            assert got == ref.min_degree_peel_vertices(h)
+            peeled += len(got) < n
+        assert peeled >= 5
+
+    def test_block_pair_graphs(self):
+        """2-graphs on block indices, as the nine-sided extension builds them
+        from the block pairs with enough connected class pairs."""
+        for seed in range(30):
+            rng = random.Random(f"peel/pairs/{seed}")
+            blocks = rng.randint(2, 12)
+            pairs = [p for p in combinations(range(blocks), 2) if rng.random() < 0.3]
+            if not pairs:
+                continue
+            h = Hypergraph(blocks, 2, pairs)
+            assert min_degree_peel_vertices(h) == ref.min_degree_peel_vertices(h)
 
 
 class TestLinkGraph:
