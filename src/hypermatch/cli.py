@@ -455,7 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
     args._started = time.perf_counter()
     try:
         return args.func(args)

@@ -34,7 +34,9 @@ class NotDisjoint(HypermatchError):
 
 
 class NotApplicable(HypermatchError):
-    """Classification requested below the 37-edge hypothesis."""
+    """An input falls outside an operation's hypothesis: a link graph below
+    the 37-edge classification, or a graph that is not 4-uniform given to
+    the pipeline."""
 
 
 class LemmaViolation(HypermatchError):

@@ -3,7 +3,12 @@
 Bit ``16*i + 4*j + k`` encodes the triple ``(i, j, k)`` with ``i`` in the
 first class, ``j`` in the second, ``k`` in the third.  Pair degrees, the
 degree-profile pattern detectors, the 37-edge classification, and the
-canonical form under the full relabeling group live here.
+canonical form under the full relabeling group live here, in pure Python.
+
+The canonical form is the least mask over the group's 82944 elements,
+found by an exact search rather than by listing them.  Its small lookup
+tables (``_CANON_TABLE``) are built on the first call and not at import,
+so a process that never asks for a canonical form pays nothing for them.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ for _a in range(4):
                 if _i == _a or _j == _b or _k == _c:
                     _m |= 1 << _bit
             COVER_MASKS.append(((_a, _b, _c), _m))
+_COVER_MASK_OF = dict(COVER_MASKS)
 
 
 class Pattern(enum.Enum):
@@ -221,7 +227,7 @@ def verify_witness(mask: int, result: Classification) -> bool:
         return len(triples) == 4
     if result.verdict is Verdict.EXT:
         a, b, c = result.witness
-        cm = dict(COVER_MASKS)[(a, b, c)]
+        cm = _COVER_MASK_OF[(a, b, c)]
         return mask.bit_count() == 37 and mask & ~cm == 0
     ps: PairSystem = result.witness
     req = Pattern[result.verdict.value].required_degrees
@@ -234,44 +240,88 @@ def verify_witness(mask: int, result: Classification) -> bool:
 
 
 # -- canonical form ---------------------------------------------------------
+#
+# A relabeling orders the three classes, then permutes each class: 82944 of
+# them.  Read a relabeled mask as a 4x4 matrix of nibbles, entry (i, j) the
+# fiber (i, j, *); the mask's value ranks entries row-major from (3, 3) down.
+# A class order and a third-class permutation fix the matrix up to row and
+# column permutations.  The least value for a column order sorts the rows,
+# least at row 3, and the least a single row reaches sorts its entries, least
+# at column 3.  So the answer's top row is the least sorted row over the (at
+# most 144) distinct matrices, and only the column orders that put it on top
+# need their rows sorted.
 
 _CANON_TABLE = None
-_CANON_WEIGHTS = None
 
 
-def _build_canon_table():
-    """Bit permutation table for (S4 x S4 x S4) semidirect S3, 82944 rows."""
-    global _CANON_TABLE, _CANON_WEIGHTS
-    import numpy as np
+def _build_canon_table() -> None:
+    """Per class order, each mask bit's place in the 16-byte matrix (byte
+    ``4*i + j`` holds fiber (i, j, *)); per third-class permutation, a
+    ``bytes.translate`` table over nibbles; per second-class permutation,
+    each column's shift."""
+    global _CANON_TABLE
+    triples = [triple_of_bit(b) for b in range(64)]
+    spread = [
+        [1 << (32 * t[o[0]] + 8 * t[o[1]] + t[o[2]]) for t in triples]
+        for o in permutations(range(3))
+    ]
+    relabel = [
+        bytes(sum(1 << p[k] for k in range(4) if x >> k & 1) for x in range(16)) + bytes(240)
+        for p in _PERMS4
+    ]
+    shifts = [tuple(4 * y for y in p) for p in _PERMS4]
+    _CANON_TABLE = (spread, relabel, shifts)
 
-    perms = np.array(_PERMS4, dtype=np.int64)  # (24, 4)
-    i_idx, j_idx, k_idx = np.indices((4, 4, 4))
-    rows = []
-    for axes in permutations(range(3)):
-        for p1 in perms:
-            src1 = 16 * p1
-            for p2 in perms:
-                src12 = src1[:, None] + 4 * p2[None, :]
-                for p3 in perms:
-                    cube = src12[:, :, None] + p3[None, None, :]
-                    rows.append(cube.transpose(axes).reshape(64))
-    _CANON_TABLE = np.array(rows, dtype=np.uint8)
-    _CANON_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
+
+def _place(row: bytes, shift: tuple[int, ...]) -> int:
+    return row[0] << shift[0] | row[1] << shift[1] | row[2] << shift[2] | row[3] << shift[3]
+
+
+def _sorted_row(row: bytes) -> int:
+    a, b, c, d = sorted(row, reverse=True)
+    return a | b << 4 | c << 8 | d << 12
 
 
 def canonical_form(mask: int) -> int:
-    """Minimum mask over all within-class relabelings and class swaps."""
-    import numpy as np
+    """Minimum mask over all within-class relabelings and class swaps.
 
+    An exact search (see the comment above) instead of a pass over all
+    82944 images.  ``_CANON_TABLE`` holds its lookup tables, which take a
+    few milliseconds to build: on the first call, not at import, and again
+    whenever it is reset to None.
+    """
     if _CANON_TABLE is None:
         _build_canon_table()
-    bits = np.zeros(64, dtype=np.uint64)
-    for b in range(64):
-        if mask >> b & 1:
-            bits[b] = 1
-    images = bits[_CANON_TABLE]  # (82944, 64) of 0/1
-    values = images @ _CANON_WEIGHTS
-    return int(values.min())
+    spread, relabel, shifts = _CANON_TABLE
+    bits = [b for b in range(64) if mask >> b & 1]
+    best_top = mask >> 48  # the identity's top row bounds the least one
+    tops: dict[bytes, tuple[int, list[int]]] = {}
+    for places in spread:
+        unrelabeled = sum(map(places.__getitem__, bits)).to_bytes(16, "little")
+        for table in relabel:
+            m = unrelabeled.translate(table)
+            # a sorted row's top nibble is its least entry
+            if m in tops or min(m) > best_top >> 12:
+                continue
+            row_tops = [_sorted_row(m[q : q + 4]) for q in (0, 4, 8, 12)]
+            tops[m] = (min(row_tops), row_tops)
+            best_top = min(best_top, tops[m][0])
+    best = mask
+    for m, (top, row_tops) in tops.items():
+        if top != best_top:
+            continue
+        rows = (m[0:4], m[4:8], m[8:12], m[12:16])
+        column_orders = {
+            shift
+            for row, row_top in zip(rows, row_tops)
+            if row_top == top
+            for shift in shifts
+            if _place(row, shift) == top
+        }
+        for shift in column_orders:
+            a, b, c, d = sorted(_place(row, shift) for row in rows)
+            best = min(best, a << 48 | b << 32 | c << 16 | d)
+    return best
 
 
 def build_link_graph(

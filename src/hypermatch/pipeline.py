@@ -30,7 +30,7 @@ from .core import (
     PartiteSpec,
     validate_matching,
 )
-from .errors import AbsorptionFailed, Indivisible, InsufficientDensity
+from .errors import AbsorptionFailed, Indivisible, InsufficientDensity, NotApplicable
 from .absorb import AbsorbingMatching, absorb, build_absorbing_matching
 from .extract import (
     MultipartiteWitness,
@@ -608,6 +608,8 @@ def solve_pipeline(
     fallback.  The returned matching, when present, is always validated."""
     if cfg is None:
         cfg = PipelineConfig()
+    if h.r != 4:
+        raise NotApplicable(f"the pipeline needs a 4-uniform graph, got r = {h.r}")
     if h.n % 4 != 0:
         raise Indivisible(f"n = {h.n} is not a multiple of 4")
     report = PipelineReport()

@@ -8,14 +8,17 @@ package against: ``Hypergraph.density``, ``partite_density`` and ``induce``
 which walks every edge of ``h`` per call; the one-edge-at-a-time loop that
 built the per-vertex bitsets before the windowed build; the three
 extraction ops as separate lemma bodies, before they became one routine;
-and ``min_degree_peel_vertices`` with per-edge sets and degree counters,
-before it ran on the edge bitsets.  Not part of the package.
+``min_degree_peel_vertices`` with per-edge sets and degree counters,
+before it ran on the edge bitsets; and ``canonical_form`` as the numpy
+table of all 82944 relabelings and one matrix product, before the
+branch-and-bound search (it imports numpy on call, so callers skip without
+it).  Not part of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import ceil, comb
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +46,7 @@ from hypermatch.extract import (
     common_neighborhood_bucket,
     dense_side,
 )
-from hypermatch.link import bit_index
+from hypermatch.link import _PERMS4, bit_index
 from hypermatch.pipeline import _rng
 from hypermatch.solve import hall_matching, has_perfect_matching
 
@@ -399,6 +402,45 @@ def build_link_graph(
                 if denom and Fraction(counts[i][j][k], denom) >= 2 * eta:
                     mask |= 1 << bit_index(i, j, k)
     return mask
+
+
+_CANON_TABLE = None
+_CANON_WEIGHTS = None
+
+
+def _build_canon_table():
+    """Bit permutation table for (S4 x S4 x S4) semidirect S3, 82944 rows."""
+    global _CANON_TABLE, _CANON_WEIGHTS
+    import numpy as np
+
+    perms = np.array(_PERMS4, dtype=np.int64)  # (24, 4)
+    i_idx, j_idx, k_idx = np.indices((4, 4, 4))
+    rows = []
+    for axes in permutations(range(3)):
+        for p1 in perms:
+            src1 = 16 * p1
+            for p2 in perms:
+                src12 = src1[:, None] + 4 * p2[None, :]
+                for p3 in perms:
+                    cube = src12[:, :, None] + p3[None, None, :]
+                    rows.append(cube.transpose(axes).reshape(64))
+    _CANON_TABLE = np.array(rows, dtype=np.uint8)
+    _CANON_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
+
+
+def canonical_form(mask: int) -> int:
+    """Minimum mask over all within-class relabelings and class swaps."""
+    import numpy as np
+
+    if _CANON_TABLE is None:
+        _build_canon_table()
+    bits = np.zeros(64, dtype=np.uint64)
+    for b in range(64):
+        if mask >> b & 1:
+            bits[b] = 1
+    images = bits[_CANON_TABLE]  # (82944, 64) of 0/1
+    values = images @ _CANON_WEIGHTS
+    return int(values.min())
 
 
 # -- pipeline ----------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Command-line surface: verbs, exit codes, JSON shape, and determinism."""
 
 import json
+import os
+import random
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hypermatch import cli
 from hypermatch.cli import main
 from hypermatch.construct import extremal_link_graph, threshold
-from hypermatch.core import load_hg
-from hypermatch.link import format_mask
+from hypermatch.core import Hypergraph, load_hg, save_hg
+from hypermatch.link import format_mask, parse_mask
 from hypermatch.pipeline import PipelineConfig
 
 
@@ -113,6 +118,15 @@ class TestSolve:
         bad.write_text("not a header")
         assert main(["solve", str(bad)]) == 2
 
+    @pytest.mark.parametrize("n, r", [(12, 3), (20, 5)])
+    def test_other_uniformity_exit_2(self, n, r, tmp_path, capsys):
+        rng = random.Random(1)
+        edges = [e for e in combinations(range(n), r) if rng.random() < 0.7]
+        path = tmp_path / "h.hg"
+        save_hg(Hypergraph(n, r, edges), path)
+        assert main(["solve", str(path), "--no-timings"]) == 2
+        assert f"r = {r}" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestClassify:
     def test_full_mask_pm(self, capsys):
@@ -139,6 +153,33 @@ class TestClassify:
         p.write_text("f" * 16 + "\n")
         code, report = run_json(capsys, "classify", str(p), "--no-timings")
         assert code == 0 and report["popcount"] == 64
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text())
+    @example(text="-h")
+    @example(text="--bogus")
+    @example(text="/")
+    @example(text="0" * 15 + "\x00")
+    def test_arbitrary_text(self, text, tmp_path, monkeypatch, capsys):
+        # relative paths resolve in an empty directory, so only an absolute
+        # path can name a file
+        monkeypatch.chdir(tmp_path)
+        try:
+            mask = parse_mask(text)
+        except ValueError:
+            mask = None
+        code = main(["classify", text, "--no-timings"])
+        capsys.readouterr()
+        if text.startswith("-"):
+            # argparse may read it as an option: help exits 0, the rest 2
+            assert code in (0, 2)
+        elif os.path.exists(text):
+            assert code in (0, 1, 2)
+        elif mask is None:
+            assert code == 2
+        else:
+            assert code == (1 if mask.bit_count() < 37 else 0)
 
 
 class TestVerify:

@@ -1,9 +1,13 @@
 """4x4x4 link graphs: masks, patterns, the 37-edge classification, and the
 canonical form."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from hypermatch.errors import NotApplicable
 from hypermatch.link import (
     COVER_MASKS,
     SIDES,
+    Classification,
     Pattern,
     Verdict,
     bit_index,
@@ -33,6 +38,7 @@ from hypermatch.link import (
 
 FULL = (1 << 64) - 1
 HEXT = extremal_link_graph()
+GOLDEN = Path(__file__).with_name("canonical_golden.txt")
 
 
 def apply_relabeling(mask, class_order, p1, p2, p3) -> int:
@@ -63,6 +69,15 @@ class TestMask:
         for bad in ("", "zz", "0" * 15, "0" * 17, "g" * 16):
             with pytest.raises(ValueError):
                 parse_mask(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_parse_arbitrary_text(self, text):
+        try:
+            mask = parse_mask(text)
+        except ValueError:
+            return
+        assert 0 <= mask < 1 << 64
 
 
 class TestPairDegree:
@@ -121,6 +136,13 @@ class TestExt:
     def test_wrong_popcount(self):
         assert is_ext(FULL) is None
         assert is_ext(HEXT & ~1) is None
+
+    def test_witness_checks_its_own_cover(self):
+        ext = Verdict.EXT
+        for cover, cm in COVER_MASKS:
+            assert verify_witness(cm, Classification(ext, cover))
+            other = tuple((x + 1) % 4 for x in cover)
+            assert not verify_witness(cm, Classification(ext, other))
 
 
 class TestClassify:
@@ -184,6 +206,43 @@ class TestCanonical:
         for seed in range(5):
             m = random_link_graph(37, seed)
             assert canonical_form(canonical_form(m)) == canonical_form(m)
+
+    def test_golden_pairs(self):
+        pairs = [
+            tuple(parse_mask(x) for x in line.split())
+            for line in GOLDEN.read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(pairs) >= 700
+        assert [canonical_form(mask) for mask, _ in pairs] == [c for _, c in pairs]
+
+    @pytest.mark.parametrize("mask", [HEXT, random_link_graph(0, "exhaustive")],
+                             ids=["hext", "random"])
+    def test_minimum_over_the_whole_group(self, mask):
+        perms = list(permutations(range(4)))
+        least = min(
+            apply_relabeling(mask, order, p1, p2, p3)
+            for order in permutations(range(3))
+            for p1 in perms
+            for p2 in perms
+            for p3 in perms
+        )
+        assert canonical_form(mask) == least
+
+    def test_tables_built_on_first_call_without_numpy(self):
+        # a fresh interpreter: importing builds nothing, the first call builds
+        # the tables, and numpy is never imported
+        script = (
+            "import sys\n"
+            "from hypermatch import cli, link\n"
+            "assert link._CANON_TABLE is None\n"
+            "assert link.canonical_form(0x111f111f111fffff) == 0x111f111f111fffff\n"
+            "assert link._CANON_TABLE is not None\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestBuildLinkGraph:

@@ -2,6 +2,7 @@
 matcher, and the orchestrating solver."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from hypermatch.construct import (
     threshold,
 )
 from hypermatch.core import Hypergraph, validate_matching
-from hypermatch.errors import Indivisible
+from hypermatch.errors import Indivisible, NotApplicable
 from hypermatch.pipeline import (
     Cover,
     PipelineConfig,
@@ -31,6 +32,12 @@ from hypermatch.solve import has_perfect_matching
 
 def complete(n: int) -> Hypergraph:
     return Hypergraph(n, 4, combinations(range(n), 4))
+
+
+def random_uniform(n: int, r: int, seed) -> Hypergraph:
+    """Each r-set kept with probability 0.7."""
+    rng = random.Random(seed)
+    return Hypergraph(n, r, [e for e in combinations(range(n), r) if rng.random() < 0.7])
 
 
 def covered_instance(n: int) -> Hypergraph:
@@ -239,6 +246,13 @@ class TestSolvePipeline:
     def test_indivisible(self):
         with pytest.raises(Indivisible):
             solve_pipeline(Hypergraph(9, 4, [(0, 1, 2, 3)]))
+
+    @pytest.mark.parametrize("n, r", [(12, 3), (20, 5), (9, 3)])
+    def test_rejects_other_uniformities(self, n, r):
+        # checked before n % 4, so (9, 3) names r rather than the size
+        h = random_uniform(n, r, seed=1)
+        with pytest.raises(NotApplicable, match=f"r = {r}"):
+            solve_pipeline(h)
 
     def test_report_json_deterministic(self):
         h = random_dense_hypergraph(32, threshold(32), seed=4)

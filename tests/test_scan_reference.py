@@ -6,8 +6,9 @@ incidences and link graphs, the same extremal set and the same matchings,
 on seeded hypergraphs with n from 8 to 32 and seeded disjoint classes.  The
 windowed bitset build must give the same ints as the per-edge loop.  The one
 extraction routine must give the same witnesses, None and error types as the
-three lemma bodies it replaced, and ``min_degree_peel_vertices`` the same
-survivors as its per-edge loop.
+three lemma bodies it replaced, ``min_degree_peel_vertices`` the same
+survivors as its per-edge loop, and ``canonical_form`` the same values as
+the numpy relabeling table (skipped where numpy is not installed).
 """
 
 import collections
@@ -24,7 +25,7 @@ import reference_scan as ref
 from hypermatch import extract
 from hypermatch.core import _WINDOW, DensityKind, Hypergraph, PartiteSpec
 from hypermatch.errors import InsufficientDensity, InvalidPartition, InvalidVertex
-from hypermatch.link import build_link_graph
+from hypermatch.link import build_link_graph, canonical_form
 from hypermatch.pipeline import detect_extremal, extremal_matcher
 from hypermatch.solve import min_degree_peel_vertices
 
@@ -313,6 +314,13 @@ class TestLinkGraph:
             assert mask == ref.build_link_graph(h, blocks, leftover, eta)
             nonzero += mask != 0
         assert nonzero >= 10
+
+    def test_canonical_form(self):
+        pytest.importorskip("numpy")
+        rng = random.Random("canonical")
+        for _ in range(2000):
+            mask = sum(1 << b for b in rng.sample(range(64), rng.randrange(65)))
+            assert canonical_form(mask) == ref.canonical_form(mask)
 
 
 class TestExtremal:
