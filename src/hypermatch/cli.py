@@ -101,7 +101,8 @@ def _cmd_solve(args) -> int:
     report: dict = {"n": h.n, "r": h.r, "edges": len(h.edges), "mode": args.mode}
     mode = args.mode
     if mode == "auto":
-        mode = "pipeline" if h.n % 4 == 0 else "exact"
+        # the pipeline solves 4-graphs whose n is a multiple of 4
+        mode = "pipeline" if h.r == 4 and h.n % 4 == 0 else "exact"
     found: Optional[tuple] = None
     if mode == "exact":
         result = max_matching_exact(h, node_budget=args.budget)

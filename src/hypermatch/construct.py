@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 from math import comb
 
 from .core import Edge, Hypergraph
@@ -87,21 +88,29 @@ def pattern_witness(kind: Pattern, seed, fill_rate: float = 0.0) -> int:
     return mask
 
 
+_BIT_VALUES = tuple(1 << b for b in range(64))
+
+
+@cache
+def _popcount_cum_weights(min_edges: int) -> tuple[int, ...]:
+    """Running sums of C(64, k) for k = min_edges..64."""
+    return tuple(accumulate(comb(64, k) for k in range(min_edges, 65)))
+
+
 def random_link_graph(min_edges: int, seed) -> int:
     """Uniform mask among those with popcount >= min_edges.
 
     Samples the popcount with weights C(64, k) truncated at min_edges, then
-    a uniform bit set of that size.
+    a uniform bit set of that size.  The draws are unchanged from passing
+    the weights and sampling bit indices: ``choices`` builds exactly the
+    cached running sums from weights, and ``sample`` picks by position.
     """
     if not 0 <= min_edges <= 64:
         raise ValueError(f"min_edges must be in [0, 64], got {min_edges}")
     rng = _rng(seed, "linkgraph")
-    weights = [comb(64, k) for k in range(min_edges, 65)]
-    k = rng.choices(range(min_edges, 65), weights=weights)[0]
-    mask = 0
-    for b in rng.sample(range(64), k):
-        mask |= 1 << b
-    return mask
+    cum_weights = _popcount_cum_weights(min_edges)
+    k = rng.choices(range(min_edges, 65), cum_weights=cum_weights)[0]
+    return sum(rng.sample(_BIT_VALUES, k))
 
 
 def random_dense_hypergraph(n: int, target_min_degree: int, seed) -> Hypergraph:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -28,6 +29,8 @@ Side = tuple[int, int]
 SIDES: tuple[Side, ...] = ((0, 1), (0, 2), (1, 2))
 
 _PERMS4 = tuple(permutations(range(4)))
+# per permutation p, the 16-bit set of its cells 4*x + p[x]
+_PERM_CELLS = tuple(sum(1 << 4 * x + p[x] for x in range(4)) for p in _PERMS4)
 
 
 def bit_index(i: int, j: int, k: int) -> int:
@@ -146,30 +149,54 @@ def tripartite_perfect_matching(mask: int) -> Optional[tuple[tuple[int, int, int
     return None
 
 
-def _degree_matrix(mask: int, side: Side) -> list[list[int]]:
-    masks = PAIR_MASKS[side]
-    return [[(mask & masks[x][y]).bit_count() for y in range(4)] for x in range(4)]
+def _degree_levels(mask: int, side: Side) -> list[int]:
+    """``levels[t]`` is the 16-bit set of cells ``4*x + y`` whose pair
+    (x, y) of ``side`` has degree >= t, for t = 1..4."""
+    levels = [0] * 5
+    cell = 1
+    for row in PAIR_MASKS[side]:
+        for pair in row:
+            levels[(mask & pair).bit_count()] |= cell
+            cell <<= 1
+    levels[3] |= levels[4]
+    levels[2] |= levels[3]
+    levels[1] |= levels[2]
+    return levels
 
 
-def _detect_from_matrix(
-    degs: Sequence[Sequence[int]], side: Side, kind: Pattern
-) -> Optional[PairSystem]:
+@cache
+def _level_counts(kind: Pattern) -> tuple[tuple[int, int], ...]:
+    """Per distinct required degree t: how many required degrees are >= t."""
     req = kind.required_degrees
-    need = len(req)
-    for perm in _PERMS4:
-        sys_pairs = [(x, perm[x]) for x in range(4)]
-        ranked = sorted(sys_pairs, key=lambda p: (-degs[p[0]][p[1]], p))
-        chosen = ranked[:need]
-        vals = tuple(degs[x][y] for x, y in chosen)
-        if all(v >= r for v, r in zip(vals, req)):
-            return PairSystem(side, tuple(chosen), vals)
+    return tuple((t, sum(r >= t for r in req)) for t in sorted(set(req), reverse=True))
+
+
+# A permutation's pairs dominate ``req`` (non-increasing) entry by entry in
+# their top ``len(req)`` degrees exactly when, for every t in ``req``, at
+# least #{r in req : r >= t} of its 4 cells reach degree t.  So the count
+# test below passes on the same permutations as ranking each one's pairs
+# would, and the scan returns the same first permutation; only that one is
+# ranked, with the same tie-break, to build its PairSystem.
+def _detect_from_levels(levels: list[int], side: Side, kind: Pattern) -> Optional[PairSystem]:
+    counts = _level_counts(kind)
+    for perm, cells in zip(_PERMS4, _PERM_CELLS):
+        for t, count in counts:
+            if (levels[t] & cells).bit_count() < count:
+                break
+        else:
+            degree = {
+                (x, perm[x]): sum(level >> 4 * x + perm[x] & 1 for level in levels[1:])
+                for x in range(4)
+            }
+            chosen = sorted(degree, key=lambda p: (-degree[p], p))[: len(kind.required_degrees)]
+            return PairSystem(side, tuple(chosen), tuple(degree[p] for p in chosen))
     return None
 
 
 def detect_pattern(mask: int, kind: Pattern) -> Optional[PairSystem]:
     """First pair system (deterministic scan order) matching the profile."""
     for side in SIDES:
-        found = _detect_from_matrix(_degree_matrix(mask, side), side, kind)
+        found = _detect_from_levels(_degree_levels(mask, side), side, kind)
         if found is not None:
             return found
     return None
@@ -196,14 +223,14 @@ def classify(mask: int) -> Classification:
     pm = tripartite_perfect_matching(mask)
     if pm is not None:
         return Classification(Verdict.PERFECT_MATCHING, pm)
-    matrices = [(side, _degree_matrix(mask, side)) for side in SIDES]
+    levels = [(side, _degree_levels(mask, side)) for side in SIDES]
     for kind, verdict in (
         (Pattern.H432, Verdict.H432),
         (Pattern.H4221, Verdict.H4221),
         (Pattern.H3321, Verdict.H3321),
     ):
-        for side, degs in matrices:
-            found = _detect_from_matrix(degs, side, kind)
+        for side, side_levels in levels:
+            found = _detect_from_levels(side_levels, side, kind)
             if found is not None:
                 return Classification(verdict, found)
     cover = is_ext(mask)

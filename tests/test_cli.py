@@ -124,8 +124,20 @@ class TestSolve:
         edges = [e for e in combinations(range(n), r) if rng.random() < 0.7]
         path = tmp_path / "h.hg"
         save_hg(Hypergraph(n, r, edges), path)
-        assert main(["solve", str(path), "--no-timings"]) == 2
+        assert main(["solve", str(path), "--mode", "pipeline", "--no-timings"]) == 2
         assert f"r = {r}" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_auto_mode_solves_other_uniformity_exactly(self, tmp_path, capsys):
+        rng = random.Random(1)
+        edges = [e for e in combinations(range(12), 3) if rng.random() < 0.7]
+        path = tmp_path / "h.hg"
+        save_hg(Hypergraph(12, 3, edges), path)
+        code, auto = run_json(capsys, "solve", str(path), "--no-timings")
+        _, exact = run_json(capsys, "solve", str(path), "--mode", "exact", "--no-timings")
+        assert code == 0 and auto["path"] == "exact" and auto["status"] == "found"
+        assert {k: v for k, v in auto.items() if k != "mode"} == {
+            k: v for k, v in exact.items() if k != "mode"
+        }
 
 
 class TestClassify:
