@@ -1,7 +1,7 @@
 """Search-based absorbing matchings.
 
-An absorbing set for a 4-set ``W`` is a 12-vertex set ``S`` (16 allowed by
-config) that has a perfect matching both on its own and together with ``W``:
+An absorbing set for a 4-set ``W`` is a 12-vertex set ``S`` that has a
+perfect matching both on its own and together with ``W``:
 removing S's three base edges and re-matching ``S ∪ W`` swallows W into the
 matching.  The builder samples candidate W's and keeps, as a block of the
 base matching, the perfect matching of each disjoint absorbing set it finds;
@@ -14,13 +14,12 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .construct import _rng
 from .core import Edge, Hypergraph, validate_matching
 from .errors import AbsorptionFailed, NotDisjoint
 from .solve import has_perfect_matching
 
-
-def _rng(seed, stream: str) -> random.Random:
-    return random.Random(f"{seed}/{stream}")
+_SET_SIZE = 12  # vertices of an absorbing set: three base edges
 
 
 @dataclass
@@ -72,17 +71,16 @@ def _search_absorber(
     h: Hypergraph,
     w: frozenset[int],
     forbidden: frozenset[int],
-    set_size: int,
     trials: int,
     rng: random.Random,
 ) -> Optional[tuple[Edge, ...]]:
     """Random search for an absorbing set for W disjoint from W and forbidden
     vertices; returns S's own perfect matching, sorted, on success."""
     pool = [v for v in range(h.n) if v not in w and v not in forbidden]
-    if len(pool) < set_size:
+    if len(pool) < _SET_SIZE:
         return None
     for _ in range(trials):
-        s = sorted(rng.sample(pool, set_size))
+        s = sorted(rng.sample(pool, _SET_SIZE))
         own = has_perfect_matching(h, vertices=s)
         if own is None:
             continue
@@ -109,7 +107,6 @@ def build_absorbing_matching(
     max_size: int,
     trials: int,
     seed,
-    set_size: int = 12,
     samples: int = 64,
 ) -> AbsorbingMatching:
     """Grow a small base matching whose blocks absorb randomly sampled 4-sets.
@@ -125,11 +122,7 @@ def build_absorbing_matching(
         Cap on the number of base edges.
     trials : int
         Random 12-set draws per sampled W.
-    set_size : int
-        Absorbing-set size; 12 or 16.
     """
-    if set_size not in (12, 16):
-        raise ValueError(f"set_size must be 12 or 16, got {set_size}")
     if h.n < 16:
         raise ValueError(f"need n >= 16, got {h.n}")
     rng = _rng(seed, "absorb")
@@ -144,9 +137,9 @@ def build_absorbing_matching(
         if _absorb_one(h, am.blocks, w) is not None:
             am.successes += 1
             continue
-        if (len(am.blocks) + 1) * (set_size // 4) > max_size:
+        if (len(am.blocks) + 1) * (_SET_SIZE // 4) > max_size:
             continue
-        block = _search_absorber(h, w, covered, set_size, trials, rng)
+        block = _search_absorber(h, w, covered, trials, rng)
         if block is not None:
             am.blocks += (block,)
             am.successes += 1

@@ -16,11 +16,10 @@ larger cover, or reverts.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import ceil, comb
+from math import comb
 from typing import Optional, Sequence
 
 from .core import (
@@ -32,6 +31,7 @@ from .core import (
 )
 from .errors import AbsorptionFailed, Indivisible, InsufficientDensity, NotApplicable
 from .absorb import AbsorbingMatching, absorb, build_absorbing_matching
+from .construct import _rng
 from .extract import (
     MultipartiteWitness,
     extract_one_three,
@@ -46,31 +46,30 @@ from .solve import (
     min_degree_peel_vertices,
 )
 
-
-def _rng(seed, stream: str) -> random.Random:
-    return random.Random(f"{seed}/{stream}")
+_EXTRACT_BUDGET = 200_000  # search nodes per block extraction
+_TRIPLES_CAP = 30  # block triples the triples move classifies per call
+_MAX_ROUNDS = 12  # extension rounds per pipeline run
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Exact-arithmetic knobs of the pipeline.
 
-    gamma bounds the leftover fraction and gates cover connectedness (2*gamma
-    densities); alpha is the extremal-detection parameter; eta gates
-    link-graph edges.  l is the uniform cover class size.
+    gamma bounds the leftover fraction and gates every density check of
+    the cover moves (2*gamma), link-graph edges included; alpha is the
+    extremal-detection parameter; l is the uniform cover class size; seed
+    names the random substreams.  The absorber_* fields bound the absorbing
+    matching's size, search trials and sampled 4-sets, and fallback_n_max
+    is the largest n the exact fallback searches.
     """
 
     gamma: Fraction = Fraction(1, 16)
     alpha: Fraction = Fraction(1, 10)
-    eta: Optional[Fraction] = None
     l: int = 1
     seed: object = 0
-    extract_budget: int = 200_000
     absorber_max_size: int = 9
     absorber_trials: int = 64
     absorber_samples: int = 16
-    triples_cap: int = 30
-    max_iterations: int = 12
     fallback_n_max: int = 64
 
     def __post_init__(self):
@@ -78,12 +77,6 @@ class PipelineConfig:
             raise ValueError("need 0 < gamma <= alpha <= 1")
         if self.l < 1:
             raise ValueError("class size l must be >= 1")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-    @property
-    def link_eta(self) -> Fraction:
-        return self.eta if self.eta is not None else self.gamma
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,7 @@ def build_initial_cover(
     blocks: list[MultipartiteWitness] = []
     left = list(uni)
     while Fraction(len(left)) >= cfg.gamma * h.n and len(left) >= 4 * cfg.l:
-        w = find_complete_r_partite(h, cfg.l, cfg.extract_budget, allowed=left)
+        w = find_complete_r_partite(h, cfg.l, _EXTRACT_BUDGET, allowed=left)
         if w is None:
             break
         blocks.append(w)
@@ -201,13 +194,61 @@ def build_initial_cover(
     return Cover(uni, cfg.l, tuple(blocks))
 
 
+def _pull(
+    h: Hypergraph, extract, classes, leftover, gamma: Fraction, l: int
+) -> Optional[MultipartiteWitness]:
+    """``extract``'s block on the given classes and the leftover, or None
+    when the leftover is too sparse for it or the search found none."""
+    try:
+        return extract(h, *classes, sorted(leftover), gamma, l, _EXTRACT_BUDGET)
+    except InsufficientDensity:
+        return None
+
+
+def _pull_all(
+    h: Hypergraph, extract, class_tuples, leftover, gamma: Fraction, l: int, need: int
+) -> Optional[list[MultipartiteWitness]]:
+    """One block per class tuple, each from what the earlier blocks left of
+    the leftover; None at the first failed pull or once fewer than ``need``
+    leftover vertices remain for the next."""
+    pool = set(leftover)
+    pulls: list[MultipartiteWitness] = []
+    for classes in class_tuples:
+        if len(pool) < need:
+            return None
+        block = _pull(h, extract, classes, pool, gamma, l)
+        if block is None:
+            return None
+        pulls.append(block)
+        pool -= block.vertices()
+    return pulls
+
+
+def _swap(
+    leftover: set[int], old: frozenset[int], pulls: Sequence[MultipartiteWitness]
+) -> set[int]:
+    """The leftover once ``pulls`` replace blocks on the ``old`` vertices:
+    the pulls' leftover vertices leave it and the old ones they skip join."""
+    pulled = frozenset(v for p in pulls for v in p.vertices())
+    return (leftover - (pulled - old)) | (old - pulled)
+
+
+def _replace(
+    cover: Cover, consumed: set[int], new_blocks: list[MultipartiteWitness]
+) -> Cover:
+    """The cover's blocks not at a consumed index, then the new blocks."""
+    kept = [w for i, w in enumerate(cover.blocks) if i not in consumed]
+    return Cover(cover.universe, cover.class_size, tuple(kept + new_blocks))
+
+
 def extend_cover_two_classes(
     h: Hypergraph, cover: Cover, cfg: PipelineConfig
 ) -> tuple[Cover, int]:
     """Replace each block with two classes connected to the leftover by two
     larger one-class-plus-leftover blocks; discards rejoin the leftover.
 
-    Net vertex gain is 4*l per converted block.
+    A class whose pull fails is skipped for the block's next class.  Net
+    vertex gain is 4*l per converted block.
     """
     l = cover.class_size
     out: list[MultipartiteWitness] = []
@@ -217,29 +258,15 @@ def extend_cover_two_classes(
         pulls: list[MultipartiteWitness] = []
         pool = set(leftover)
         for cls in w.classes:
-            if len(pulls) == 2:
+            if len(pulls) == 2 or len(pool) < 3 * l:
                 break
-            if len(pool) < 3 * l:
-                continue
-            try:
-                pulled = extract_one_three(
-                    h, cls, sorted(pool), cfg.gamma, l, cfg.extract_budget
-                )
-            except InsufficientDensity:
-                continue
-            if pulled is None:
-                continue
-            pulls.append(pulled)
-            pool -= pulled.vertices()
+            pulled = _pull(h, extract_one_three, (cls,), pool, cfg.gamma, l)
+            if pulled is not None:
+                pulls.append(pulled)
+                pool -= pulled.vertices()
         if len(pulls) == 2:
             out.extend(pulls)
-            used_i = frozenset(
-                v for p in pulls for v in p.vertices()
-            ) - w.vertices()
-            leftover -= used_i
-            leftover |= w.vertices() - frozenset(
-                v for p in pulls for v in p.vertices()
-            )
+            leftover = _swap(leftover, w.vertices(), pulls)
             gain += 4 * l
         else:
             out.append(w)
@@ -310,40 +337,15 @@ def extend_cover_nine_sided(
         class_pairs = _three_disjoint_class_pairs(conn_cache[(i, j)])
         if class_pairs is None:
             continue
-        pool = set(leftover)
-        pulls: list[MultipartiteWitness] = []
-        for p, q in class_pairs:
-            if len(pool) < 2 * l:
-                break
-            try:
-                pulled = extract_two_two(
-                    h,
-                    blocks[i].classes[p],
-                    blocks[j].classes[q],
-                    sorted(pool),
-                    cfg.gamma,
-                    l,
-                    cfg.extract_budget,
-                )
-            except InsufficientDensity:
-                break
-            if pulled is None:
-                break
-            pulls.append(pulled)
-            pool -= pulled.vertices()
-        if len(pulls) != 3:
+        pairs = [(blocks[i].classes[p], blocks[j].classes[q]) for p, q in class_pairs]
+        pulls = _pull_all(h, extract_two_two, pairs, leftover, cfg.gamma, l, 2 * l)
+        if pulls is None:
             continue
         consumed |= {i, j}
         new_blocks.extend(pulls)
-        pulled_v = frozenset(v for p in pulls for v in p.vertices())
-        old_v = blocks[i].vertices() | blocks[j].vertices()
-        leftover -= pulled_v - old_v
-        leftover |= old_v - pulled_v
+        leftover = _swap(leftover, blocks[i].vertices() | blocks[j].vertices(), pulls)
         gain += 4 * l
-    if not consumed:
-        return cover, 0
-    kept = [w for idx, w in enumerate(blocks) if idx not in consumed]
-    return Cover(cover.universe, l, tuple(kept + new_blocks)), gain
+    return _replace(cover, consumed, new_blocks), gain
 
 
 def extend_cover_triples(
@@ -355,7 +357,7 @@ def extend_cover_triples(
     pulls re-cover no more vertices than the three blocks they consume.
     """
     l = cover.class_size
-    blocks = list(cover.blocks)
+    blocks = cover.blocks
     leftover = set(cover.leftover)
     ext_triples = 0
     consumed: set[int] = set()
@@ -363,59 +365,33 @@ def extend_cover_triples(
     gain = 0
     scanned = 0
     for a, b, c in combinations(range(len(blocks)), 3):
-        if scanned >= cfg.triples_cap:
+        if scanned >= _TRIPLES_CAP:
             break
-        if {a, b, c} & consumed or len(leftover) < 1:
+        if {a, b, c} & consumed or not leftover:
             continue
         scanned += 1
-        specs = tuple(
-            PartiteSpec.of(*blocks[x].classes) for x in (a, b, c)
-        )
-        mask = build_link_graph(h, specs, sorted(leftover), cfg.link_eta)
+        specs = tuple(PartiteSpec.of(*blocks[x].classes) for x in (a, b, c))
+        mask = build_link_graph(h, specs, sorted(leftover), cfg.gamma)
         if mask.bit_count() < 37:
             continue
         result = classify(mask)
         if result.verdict is Verdict.EXT:
             ext_triples += 1
+        if result.verdict is not Verdict.PERFECT_MATCHING:
             continue
-        if result.verdict is Verdict.PERFECT_MATCHING:
-            pool = set(leftover)
-            pulls: list[MultipartiteWitness] = []
-            for i, j, k in result.witness:
-                if len(pool) < l:
-                    break
-                try:
-                    pulled = extract_partite_volume(
-                        h,
-                        blocks[a].classes[i],
-                        blocks[b].classes[j],
-                        blocks[c].classes[k],
-                        sorted(pool),
-                        cfg.link_eta,
-                        l,
-                        cfg.extract_budget,
-                    )
-                except InsufficientDensity:
-                    break
-                if pulled is None:
-                    break
-                pulls.append(pulled)
-                pool -= pulled.vertices()
-            if len(pulls) != 4:
-                continue
-            consumed |= {a, b, c}
-            new_blocks.extend(pulls)
-            pulled_v = frozenset(v for p in pulls for v in p.vertices())
-            old_v = (
-                blocks[a].vertices() | blocks[b].vertices() | blocks[c].vertices()
-            )
-            leftover -= pulled_v - old_v
-            leftover |= old_v - pulled_v
-            gain += 4 * l
-    if not consumed:
-        return cover, 0, ext_triples
-    kept = [w for idx, w in enumerate(blocks) if idx not in consumed]
-    return Cover(cover.universe, l, tuple(kept + new_blocks)), gain, ext_triples
+        triples = [
+            (blocks[a].classes[i], blocks[b].classes[j], blocks[c].classes[k])
+            for i, j, k in result.witness
+        ]
+        pulls = _pull_all(h, extract_partite_volume, triples, leftover, cfg.gamma, l, l)
+        if pulls is None:
+            continue
+        consumed |= {a, b, c}
+        new_blocks.extend(pulls)
+        old = blocks[a].vertices() | blocks[b].vertices() | blocks[c].vertices()
+        leftover = _swap(leftover, old, pulls)
+        gain += 4 * l
+    return _replace(cover, consumed, new_blocks), gain, ext_triples
 
 
 # -- extremal matcher ----------------------------------------------------------
@@ -430,10 +406,15 @@ def extremal_matcher(
     Stages: rebalance to |A| = n/4; compute (strongly) exceptional sets by
     exact cube/square comparisons against alpha; exchange until one strongly
     exceptional side empties; greedily cover strongly exceptional then
-    exceptional vertices; split the remaining B into triples (random layer
-    plus an exact matching of high-common-degree triples) and finish with a
-    bipartite matching.  If the greedy clearing runs dry the exact endgame is
-    retried without it (sound either way); a dry endgame returns None.
+    exceptional vertices; split the remaining B into triples by a seeded
+    shuffle and finish with a bipartite matching of triples to the rest of
+    A.  If the greedy clearing runs dry the exact endgame is retried without
+    it (sound either way); a dry endgame returns None.
+
+    The argument this follows draws a random layer of
+    min(|B|/3, ceil(100 alpha^(1/4) |B|)) triples and covers the rest of B
+    by an exact matching of high-common-degree triples.  For every alpha
+    above about 1.2e-10 the random layer is all of B, so only it is built.
     """
     alpha = Fraction(alpha)
     if h.n % 4 != 0:
@@ -549,32 +530,9 @@ def extremal_matcher(
     b2 = sorted(b - used)
     if len(b2) != 3 * len(a2):
         return None
-    if not a2:
-        check = validate_matching(h, matching)
-        return tuple(sorted(matching)) if check.valid and check.perfect else None
-
-    rng = _rng(seed, "extremal/t1")
-    t1_target = min(len(b2) // 3, ceil(100 * float(alpha) ** 0.25 * len(b2)))
     shuffled = list(b2)
-    rng.shuffle(shuffled)
-    t1 = [tuple(sorted(shuffled[i : i + 3])) for i in range(0, 3 * t1_target, 3)]
-    rest = sorted(set(b2) - {v for t in t1 for v in t})
-    triples: list[tuple[int, int, int]] = list(t1)
-    if rest:
-        # exact matching on the high-common-degree triple 3-graph
-        bound = (40 ** 4) * alpha * len(a2) ** 4
-        good = []
-        for t in combinations(rest, 3):
-            common = sum(1 for u in a2 if h.has_edge(t + (u,)))
-            if (len(a2) - common) ** 4 <= bound:
-                good.append(t)
-        pos = {v: i for i, v in enumerate(rest)}
-        aux = Hypergraph(len(rest), 3, [tuple(pos[v] for v in t) for t in good])
-        pm = has_perfect_matching(aux)
-        if pm is None:
-            return None
-        triples.extend(tuple(rest[i] for i in t) for t in pm)
-
+    _rng(seed, "extremal/t1").shuffle(shuffled)
+    triples = [tuple(sorted(shuffled[i : i + 3])) for i in range(0, len(b2), 3)]
     adjacency = [
         [i for i, u in enumerate(a2) if h.has_edge(t + (u,))] for t in triples
     ]
@@ -660,7 +618,7 @@ def solve_pipeline(
     report.cover_trace.append(
         {"stage": "initial", "blocks": len(cover.blocks), "leftover": len(cover.leftover)}
     )
-    for it in range(cfg.max_iterations):
+    for it in range(_MAX_ROUNDS):
         if Fraction(len(cover.leftover)) <= cfg.gamma * h.n:
             break
         cover, g1 = extend_cover_two_classes(h, cover, cfg)

@@ -26,9 +26,13 @@ from .errors import EmptyInput, Indivisible, InvalidVertex
 @dataclass(frozen=True)
 class MatchingResult:
     matching: tuple[Edge, ...]
-    optimal: bool
     nodes_explored: int
     timed_out: bool
+
+    @property
+    def optimal(self) -> bool:
+        """Whether the search finished, so the matching is a maximum one."""
+        return not self.timed_out
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,6 @@ class HallOutcome:
 
     matching: Optional[dict[int, int]]
     violator: Optional[frozenset[int]]
-
-
-def _edge_masks(h: Hypergraph) -> list[int]:
-    return [sum(1 << v for v in e) for e in h.edges]
 
 
 def _cover_bound(bits: Sequence[int], verts: Sequence[int], avail: int, cap: int) -> int:
@@ -128,8 +128,7 @@ def max_matching_exact(h: Hypergraph, node_budget: int = 2_000_000) -> MatchingR
     """
     all_edges = (1 << len(h.edges)) - 1
     best, nodes = _branch_and_bound(h, list(range(h.n)), all_edges, 0, True, node_budget)
-    timed_out = nodes > node_budget
-    return MatchingResult(tuple(best or ()), not timed_out, nodes, timed_out)
+    return MatchingResult(tuple(best or ()), nodes, nodes > node_budget)
 
 
 def has_perfect_matching(
@@ -161,7 +160,7 @@ def has_perfect_matching(
 def max_matching_bruteforce(h: Hypergraph) -> int:
     """Independent oracle: exhaustive depth-first over all matchings, no
     pruning beyond disjointness."""
-    edge_masks = _edge_masks(h)
+    edge_masks = [sum(1 << v for v in e) for e in h.edges]
     m = len(edge_masks)
     best = 0
 

@@ -103,7 +103,7 @@ def max_matching_exact(h: Hypergraph, node_budget: int = 2_000_000) -> MatchingR
         search(covered | bit, matching, nxt)
 
     search(0, [], list(range(len(h.edges))))
-    return MatchingResult(tuple(best), not timed_out, nodes, timed_out)
+    return MatchingResult(tuple(best), nodes, timed_out)
 
 
 def has_perfect_matching(h: Hypergraph) -> Optional[tuple[Edge, ...]]:

@@ -68,10 +68,6 @@ class TestBuild:
         am = build_absorbing_matching(h, max_size=6, trials=16, seed=0, samples=30)
         assert len(am.base) <= 6
 
-    def test_set_size_validation(self):
-        with pytest.raises(ValueError):
-            build_absorbing_matching(complete(16), 3, 8, 0, set_size=13)
-
 
 class TestAbsorb:
     def test_empty_leftover_is_identity(self):

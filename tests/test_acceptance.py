@@ -3,15 +3,17 @@ PASS/FAIL line) per criterion.
 
 Each test prints its verdict to the real stdout so the line survives pytest's
 capture, then asserts.  Scales are the stated ones; the determinism criterion
-reruns every verification campaign at reduced-but-real scale and compares
-bytes.
+reruns every verification campaign at reduced-but-real scale, compares
+bytes, and checks the output's digest against ``output_digests.txt``.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 from hypermatch import cli
 from hypermatch.absorb import absorb, build_absorbing_matching
@@ -266,7 +268,13 @@ def test_c9_campaign_determinism(verdict, capsys, tmp_path, monkeypatch):
         ["verify", "absorb", "--samples", "30"],
         ["verify", "pipeline", "--instances", "4"],
     ]
-    unstable = []
+    digests = Path(__file__).parent / "output_digests.txt"
+    pinned = {
+        line.split()[1]: line.split()[2]
+        for line in digests.read_text().splitlines()
+        if line.startswith("c9 ")
+    }
+    unstable, changed = [], []
     for argv in campaigns:
         runs = []
         for _ in range(2):
@@ -276,4 +284,12 @@ def test_c9_campaign_determinism(verdict, capsys, tmp_path, monkeypatch):
             runs.append((code, out))
         if runs[0] != runs[1]:
             unstable.append(argv[1])
-    verdict("C9 campaign determinism", not unstable, str(unstable or "5 campaigns"))
+        if hashlib.sha256(runs[0][1].encode()).hexdigest() != pinned[argv[1]]:
+            changed.append(argv[1])
+    verdict(
+        "C9 campaign determinism",
+        not unstable and not changed,
+        f"unstable {unstable}, changed from {digests.name} {changed}"
+        if unstable or changed
+        else "5 campaigns, pinned digests",
+    )

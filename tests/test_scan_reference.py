@@ -346,7 +346,7 @@ class TestExtremal:
                 # B of size 3n/4, and B too small or too large, so that both
                 # rebalancing loops run
                 for b_set in (b, b[2:], b + [0, 1]):
-                    for alpha in (Fraction(1, 10), Fraction(1, 3), Fraction(1, 10**12)):
+                    for alpha in (Fraction(1, 10), Fraction(1, 3)):
                         pipeline_seed = rng.randrange(1000)
                         args = (h, b_set, alpha, pipeline_seed)
                         got = extremal_matcher(*args)
